@@ -204,112 +204,6 @@ pub fn measure() -> Vec<SimcorePoint> {
     measure_geometries(&GEOMETRIES, scaled(8, 1))
 }
 
-/// Worker counts swept by the shard-scaling experiment (1 = the sequential
-/// reference every other count is compared against).
-pub const SHARD_WORKERS: [usize; 4] = [1, 2, 4, 8];
-
-/// One point of the shard-scaling sweep: the calendar scheduler at one
-/// geometry, executed by the sharded conservative-PDES mode with `workers`
-/// worker threads.
-#[derive(Clone, Copy, Debug)]
-pub struct ShardPoint {
-    /// NDP units of the simulated machine.
-    pub units: usize,
-    /// Cores per NDP unit of the simulated machine.
-    pub cores_per_unit: usize,
-    /// Synchronization scheme the simulated machine ran.
-    pub mechanism: MechanismKind,
-    /// Worker threads requested via `sim_threads`.
-    pub workers: usize,
-    /// Shards the run actually executed with (`min(workers, units)` unless the
-    /// configuration forced a sequential fallback).
-    pub shards: usize,
-    /// Best-of-[`REPEATS`] measurement.
-    pub run: Measurement,
-}
-
-impl ShardPoint {
-    /// `WxC` geometry label (`16x256`).
-    pub fn geometry(&self) -> String {
-        format!("{}x{}", self.units, self.cores_per_unit)
-    }
-}
-
-/// Wall-clock speedup of `p` over the 1-worker point of the same geometry
-/// (`0.0` if the baseline is missing or degenerate). Wall seconds — not
-/// events/sec — because every worker count delivers the identical event count
-/// for the identical simulation.
-pub fn shard_speedup(points: &[ShardPoint], p: &ShardPoint) -> f64 {
-    points
-        .iter()
-        .find(|q| q.units == p.units && q.cores_per_unit == p.cores_per_unit && q.workers == 1)
-        .map(|base| {
-            if p.run.wall_seconds > 0.0 {
-                base.run.wall_seconds / p.run.wall_seconds
-            } else {
-                0.0
-            }
-        })
-        .unwrap_or(0.0)
-}
-
-/// Measures the shard-scaling sweep over explicit geometries and worker counts
-/// (exposed so tests and the CI smoke job can run a tiny instance; use
-/// [`measure_shards`] for the real experiment).
-///
-/// Every worker count runs the *same* simulation: the 1-worker report is the
-/// reference and any simulated-field divergence panics, so the wall-clock
-/// comparison is guaranteed to price identical work.
-pub fn measure_shard_geometries(
-    geometries: &[(usize, usize)],
-    iterations: u32,
-    workers: &[usize],
-) -> Vec<ShardPoint> {
-    let mechanism = MechanismKind::SynCron;
-    let mut points = Vec::new();
-    for &(units, cores_per_unit) in geometries {
-        let mut reference: Option<syncron_system::RunReport> = None;
-        for &w in workers {
-            let mut s = scenario(
-                units,
-                cores_per_unit,
-                mechanism,
-                SchedulerKind::Calendar,
-                iterations,
-            );
-            s.label = format!("{}/w={w}", s.label);
-            s.config = s.config.with_sim_threads(w);
-            let (report, run) = measure_one(&s);
-            match &reference {
-                None => reference = Some(report.clone()),
-                Some(base) => {
-                    if let Some(field) = base.divergence_from(&report) {
-                        panic!(
-                            "{units}x{cores_per_unit}: sharded run with {w} workers \
-                             diverged from the sequential reference in {field}"
-                        );
-                    }
-                }
-            }
-            points.push(ShardPoint {
-                units,
-                cores_per_unit,
-                mechanism,
-                workers: w,
-                shards: report.perf.shards,
-                run,
-            });
-        }
-    }
-    points
-}
-
-/// Runs the full shard-scaling sweep (respects `SYNCRON_SCALE`): the barrier
-/// reference workload at every [`GEOMETRIES`] entry under [`SHARD_WORKERS`].
-pub fn measure_shards() -> Vec<ShardPoint> {
-    measure_shard_geometries(&GEOMETRIES, scaled(8, 1), &SHARD_WORKERS)
-}
-
 /// Fast-path lever variants measured by the per-lever attribution sweep:
 /// everything off (the pre-PR baseline), each lever alone, and the default
 /// all-on configuration. The lever set is the contract CI greps for in
@@ -664,29 +558,6 @@ pub fn fastpath_table(points: &[FastpathPoint]) -> Table {
     table
 }
 
-/// Renders the shard-scaling sweep as its text table.
-pub fn shard_table(points: &[ShardPoint]) -> Table {
-    let mut table = Table::new(
-        "Sharded-execution scaling: conservative-PDES workers vs the sequential \
-         run loop (identical simulations, wall-clock speedup)",
-        &[
-            "geometry", "workers", "shards", "events", "wall s", "ev/s", "speedup",
-        ],
-    );
-    for p in points {
-        table.push_row(vec![
-            p.geometry(),
-            p.workers.to_string(),
-            p.shards.to_string(),
-            p.run.events.to_string(),
-            format!("{:.6}", p.run.wall_seconds),
-            format!("{:.3e}", p.run.events_per_sec),
-            f2(shard_speedup(points, p)),
-        ]);
-    }
-    table
-}
-
 /// Aggregate (events-weighted) throughput comparison for one geometry.
 #[derive(Clone, Copy, Debug)]
 pub struct GeometrySummary {
@@ -798,13 +669,12 @@ pub fn simcore_table(points: &[SimcorePoint]) -> Table {
     table
 }
 
-/// Serializes the sweeps as the `BENCH_simcore.json` document. `shards` is the
-/// shard-scaling sweep, `fastpath` the fast-path attribution sweep and
-/// `resilience` the drop-rate × mechanism recovery sweep; pass an empty slice
-/// to emit a document without the corresponding (additive) array.
+/// Serializes the sweeps as the `BENCH_simcore.json` document. `fastpath` is
+/// the fast-path attribution sweep and `resilience` the drop-rate × mechanism
+/// recovery sweep; pass an empty slice to emit a document without the
+/// corresponding (additive) array.
 pub fn simcore_json(
     points: &[SimcorePoint],
-    shards: &[ShardPoint],
     fastpath: &[FastpathPoint],
     resilience: &[ResiliencePoint],
 ) -> Value {
@@ -816,26 +686,6 @@ pub fn simcore_json(
             ("events_per_sec", Value::Float(m.events_per_sec)),
         ])
     };
-    let shard_rows = Value::Array(
-        shards
-            .iter()
-            .map(|p| {
-                Value::table([
-                    ("geometry", Value::str(p.geometry())),
-                    ("units", Value::Int(p.units as i64)),
-                    ("cores_per_unit", Value::Int(p.cores_per_unit as i64)),
-                    ("mechanism", Value::str(p.mechanism.name())),
-                    ("workers", Value::Int(p.workers as i64)),
-                    ("shards", Value::Int(p.shards as i64)),
-                    ("completed", Value::Bool(p.run.completed)),
-                    ("events", Value::Int(p.run.events as i64)),
-                    ("wall_seconds", Value::Float(p.run.wall_seconds)),
-                    ("events_per_sec", Value::Float(p.run.events_per_sec)),
-                    ("speedup", Value::Float(shard_speedup(shards, p))),
-                ])
-            })
-            .collect(),
-    );
     let mut doc = Value::table([
         ("schema", Value::str(SIMCORE_SCHEMA)),
         ("scale", Value::Float(scale())),
@@ -891,11 +741,6 @@ pub fn simcore_json(
             ),
         ),
     ]);
-    if !shards.is_empty() {
-        if let Value::Table(map) = &mut doc {
-            map.insert("shard_scaling".to_string(), shard_rows);
-        }
-    }
     if !fastpath.is_empty() {
         let fastpath_rows = Value::Array(
             fastpath
@@ -1024,53 +869,6 @@ pub fn validate_simcore_json(doc: &Value) -> Result<(), String> {
             if let Some(v) = g.get(key) {
                 v.as_f64()
                     .ok_or(format!("geometry {i}: '{key}' must be numeric"))?;
-            }
-        }
-    }
-    // The shard-scaling sweep is additive to v1 too (PR 7): optional, but a
-    // present array must be well-formed and must carry the 1-worker baseline
-    // every speedup is defined against.
-    if let Some(shards) = doc.get("shard_scaling") {
-        let rows = shards
-            .as_array()
-            .ok_or("'shard_scaling' must be an array")?;
-        if rows.is_empty() {
-            return Err("'shard_scaling' is empty".into());
-        }
-        let mut baselines = Vec::new();
-        for (i, row) in rows.iter().enumerate() {
-            let geometry = row
-                .get("geometry")
-                .and_then(Value::as_str)
-                .ok_or(format!("shard_scaling {i}: missing string 'geometry'"))?;
-            row.get("mechanism")
-                .and_then(Value::as_str)
-                .ok_or(format!("shard_scaling {i}: missing string 'mechanism'"))?;
-            row.get("completed")
-                .and_then(Value::as_bool)
-                .ok_or(format!("shard_scaling {i}: missing bool 'completed'"))?;
-            for key in [
-                "workers",
-                "shards",
-                "events",
-                "wall_seconds",
-                "events_per_sec",
-                "speedup",
-            ] {
-                row.get(key)
-                    .and_then(Value::as_f64)
-                    .ok_or(format!("shard_scaling {i}: missing numeric '{key}'"))?;
-            }
-            if row.get("workers").and_then(Value::as_f64) == Some(1.0) {
-                baselines.push(geometry.to_string());
-            }
-        }
-        for (i, row) in rows.iter().enumerate() {
-            let geometry = row.get("geometry").and_then(Value::as_str).unwrap_or("");
-            if !baselines.iter().any(|b| b == geometry) {
-                return Err(format!(
-                    "shard_scaling {i}: geometry '{geometry}' has no workers=1 baseline"
-                ));
             }
         }
     }
@@ -1219,18 +1017,16 @@ mod tests {
     #[test]
     fn json_document_round_trips_and_validates() {
         let points = measure_geometries(&[(2, 4)], 1);
-        let shards = measure_shard_geometries(&[(2, 4)], 1, &[1, 2]);
         let fastpath = measure_fastpath_geometries(&[(2, 4)], 1);
         let resilience = measure_resilience_geometries(&[(2, 4)], 2, &[0.0, 0.1]);
-        let doc = simcore_json(&points, &shards, &fastpath, &resilience);
+        let doc = simcore_json(&points, &fastpath, &resilience);
         validate_simcore_json(&doc).expect("fresh document validates");
         // Through text and back (what the CI smoke job exercises).
         let text = doc.to_json_pretty();
         let parsed = syncron_harness::json::parse(&text).expect("valid JSON text");
         validate_simcore_json(&parsed).expect("parsed document validates");
         // A document without the additive arrays still validates.
-        let doc = simcore_json(&points, &[], &[], &[]);
-        assert!(doc.get("shard_scaling").is_none());
+        let doc = simcore_json(&points, &[], &[]);
         assert!(doc.get("fastpath").is_none());
         assert!(doc.get("resilience").is_none());
         validate_simcore_json(&doc).expect("array-less document validates");
@@ -1285,7 +1081,7 @@ mod tests {
             .copied()
             .filter(|p| p.variant != "baseline")
             .collect();
-        let doc = simcore_json(&points, &[], &partial, &[]);
+        let doc = simcore_json(&points, &partial, &[]);
         let err = validate_simcore_json(&doc).unwrap_err();
         assert!(
             err.contains("everything-off baseline"),
@@ -1298,41 +1094,9 @@ mod tests {
             .copied()
             .filter(|p| p.variant != "quantized-md1")
             .collect();
-        let doc = simcore_json(&points, &[], &partial, &[]);
+        let doc = simcore_json(&points, &partial, &[]);
         let err = validate_simcore_json(&doc).unwrap_err();
         assert!(err.contains("quantized-md1"), "unexpected error: {err}");
-    }
-
-    #[test]
-    fn tiny_shard_sweep_scales_and_reports_identically() {
-        let points = measure_shard_geometries(&[(2, 4)], 2, &[1, 2, 8]);
-        assert_eq!(points.len(), 3);
-        assert_eq!(points[0].shards, 1);
-        assert_eq!(points[1].shards, 2);
-        // Worker counts beyond the unit count are clamped to one shard per unit.
-        assert_eq!(points[2].shards, 2);
-        for p in &points {
-            assert!(p.run.completed);
-            // Identical simulations deliver identical event counts
-            // (measure_shard_geometries also asserts full report equality).
-            assert_eq!(p.run.events, points[0].run.events);
-        }
-        let base = &points[0];
-        assert!((shard_speedup(&points, base) - 1.0).abs() < 1e-12);
-        let table = shard_table(&points);
-        assert_eq!(table.rows.len(), points.len());
-    }
-
-    #[test]
-    fn shard_scaling_validation_requires_a_baseline() {
-        let points = measure_geometries(&[(2, 4)], 1);
-        let shards = measure_shard_geometries(&[(2, 4)], 1, &[2, 4]);
-        let doc = simcore_json(&points, &shards, &[], &[]);
-        let err = validate_simcore_json(&doc).unwrap_err();
-        assert!(
-            err.contains("workers=1 baseline"),
-            "unexpected error: {err}"
-        );
     }
 
     #[test]
@@ -1380,7 +1144,7 @@ mod tests {
     fn resilience_validation_requires_a_drop_free_baseline() {
         let points = measure_geometries(&[(2, 4)], 1);
         let resilience = measure_resilience_geometries(&[(2, 4)], 1, &[0.0, 0.1]);
-        let doc = simcore_json(&points, &[], &[], &resilience);
+        let doc = simcore_json(&points, &[], &resilience);
         validate_simcore_json(&doc).expect("full sweep validates");
         // Dropping the drop-rate-0 rows breaks every ratio's denominator.
         let partial: Vec<ResiliencePoint> = resilience
@@ -1388,7 +1152,7 @@ mod tests {
             .copied()
             .filter(|p| p.drop_rate != 0.0)
             .collect();
-        let doc = simcore_json(&points, &[], &[], &partial);
+        let doc = simcore_json(&points, &[], &partial);
         let err = validate_simcore_json(&doc).unwrap_err();
         assert!(
             err.contains("drop_rate=0 baseline"),
@@ -1402,7 +1166,7 @@ mod tests {
         // generated before they existed must still validate, while a present
         // field of the wrong type is rejected.
         let points = measure_geometries(&[(2, 4)], 1);
-        let doc = simcore_json(&points, &[], &[], &[]);
+        let doc = simcore_json(&points, &[], &[]);
         let text = doc.to_json_pretty();
         let pre_pr5 = regex_strip_wall(&text);
         let parsed = syncron_harness::json::parse(&pre_pr5).expect("valid JSON");

@@ -21,7 +21,6 @@ use syncron_sim::{Addr, GlobalCoreId, UnitId};
 
 /// Which synchronization mechanism to instantiate.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum MechanismKind {
     /// Zero-overhead synchronization (upper bound used throughout the evaluation).
     Ideal,
@@ -104,9 +103,8 @@ pub trait SyncContext {
 
     /// Schedules `token` to be delivered back to the mechanism (via
     /// [`SyncMechanism::deliver`]) at absolute time `at`. `unit` names the unit
-    /// whose engine the token concerns: a sharded system uses it to keep the
-    /// event on the shard owning that unit (scheduling a token for a unit the
-    /// current shard does not own is a hard error there).
+    /// whose engine the token concerns (a unit outside the geometry is a hard
+    /// error in the system).
     ///
     /// Contract: one call pushes exactly one event onto the system's event
     /// queue, so [`SyncContext::schedule_stamp`] advances by exactly one per
@@ -123,10 +121,10 @@ pub trait SyncContext {
     /// one delivery: if the count has not moved since the previous message's
     /// event was pushed, no other event can pop between them, so merging them
     /// preserves the global `(time, tiebreak key)` delivery order bit for bit.
-    /// The value need not be a plain counter — the sharded machine returns its
-    /// next per-unit event key, which additionally encodes *which* unit's
-    /// counter it is — it only has to change on every push and advance by
-    /// exactly one per [`SyncContext::schedule`] call.
+    /// The value need not be a plain counter — the machine returns its next
+    /// per-unit event key, which additionally encodes *which* unit's counter it
+    /// is — it only has to change on every push and advance by exactly one per
+    /// [`SyncContext::schedule`] call.
     /// Contexts that return `None` (the default) disable the optimization.
     fn schedule_stamp(&self) -> Option<u64> {
         None
@@ -139,9 +137,9 @@ pub trait SyncContext {
     /// Sends `payload` from the engine of `from` (departing at `at`) to the
     /// engine of `to` in another unit: charges the sender-side legs (source
     /// crossbar, inter-unit link) and traffic, and arranges for
-    /// [`SyncMechanism::deliver_remote`] to run on the destination unit's shard
-    /// at the arrival time. The arrival is always at least the link's transfer
-    /// latency after `at` — the lookahead bound sharded execution relies on.
+    /// [`SyncMechanism::deliver_remote`] to run for the destination unit at the
+    /// arrival time. The arrival is always at least the link's transfer latency
+    /// after `at`.
     fn send_remote(
         &mut self,
         at: Time,
@@ -180,7 +178,6 @@ pub trait SyncContext {
 
 /// Aggregate statistics a mechanism exposes for the evaluation reports.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SyncMechanismStats {
     /// Synchronization requests issued by cores.
     pub requests: u64,
@@ -227,10 +224,7 @@ impl SyncMechanismStats {
 }
 
 /// A synchronization mechanism driven by the simulated NDP system.
-///
-/// `Send` because the sharded execution mode moves the mechanism's state across
-/// worker threads (each shard owns a full mechanism instance for its units).
-pub trait SyncMechanism: Send {
+pub trait SyncMechanism {
     /// Human-readable name for reports.
     fn name(&self) -> &'static str;
 
@@ -256,8 +250,8 @@ pub trait SyncMechanism: Send {
     fn deliver(&mut self, ctx: &mut dyn SyncContext, token: u64);
 
     /// Delivers a cross-unit payload previously sent through
-    /// [`SyncContext::send_remote`], running at the arrival time on the shard
-    /// owning the destination unit. The mechanism charges the receive-side
+    /// [`SyncContext::send_remote`], running at the arrival time at the
+    /// destination unit. The mechanism charges the receive-side
     /// crossbar hop here (via [`SyncContext::recv_hop`]).
     ///
     /// The default panics: mechanisms that never call `send_remote` (e.g. the
@@ -271,23 +265,10 @@ pub trait SyncMechanism: Send {
 
     /// Statistics accumulated up to `end` (the end of the simulation).
     fn stats(&self, end: Time) -> SyncMechanismStats;
-
-    /// Time-weighted `(average, maximum)` ST occupancy of the engine of `unit`
-    /// up to `end`, as fractions of capacity, or `None` when the mechanism has
-    /// no per-unit occupancy (server-based schemes, ideal).
-    ///
-    /// The sharded report merge recomputes the global average/maximum from
-    /// these per-unit values in global unit order, so the f64 reduction
-    /// associates exactly as in a sequential run.
-    fn st_unit_occupancy(&self, end: Time, unit: usize) -> Option<(f64, f64)> {
-        let _ = (end, unit);
-        None
-    }
 }
 
 /// Tunable parameters for [`build_mechanism`].
 #[derive(Clone, Copy, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MechanismParams {
     /// Which mechanism to build.
     pub kind: MechanismKind,

@@ -64,7 +64,6 @@ use syncron_sim::{Addr, GlobalCoreId, UnitId};
 
 /// How ST overflow is handled (Section 6.7.3 comparison).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum OverflowMode {
     /// SynCron's integrated hardware-only scheme: the Master SE falls back to the
     /// in-memory `syncronVar`, local SEs redirect requests with overflow opcodes.
@@ -91,7 +90,6 @@ impl OverflowMode {
 
 /// Whether cores talk to their local engine first, or directly to the master engine.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Topology {
     /// SynCron / Hier: cores talk to the engine of their own NDP unit.
     Hierarchical,
@@ -102,7 +100,6 @@ pub enum Topology {
 
 /// What kind of hardware processes messages at each unit.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum EngineBackend {
     /// A Synchronization Engine with a Synchronization Table (SynCron).
     SyncronSe,
@@ -113,7 +110,6 @@ pub enum EngineBackend {
 
 /// Configuration of a [`ProtocolMechanism`].
 #[derive(Clone, Copy, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ProtocolConfig {
     /// Which named mechanism this configuration realizes (for reports).
     pub kind: MechanismKind,
@@ -310,9 +306,7 @@ struct Engine {
     /// (`flat core index → streak`); indexes the exponential backoff and is
     /// cleared whenever one of the core's signals is accepted. Kept per
     /// *serving* engine (not globally) so that the streak a core builds on one
-    /// engine's condvars never depends on traffic it sends to other engines —
-    /// the property that lets each shard of a partitioned run own its engines'
-    /// streak state outright.
+    /// engine's condvars never depends on traffic it sends to other engines.
     signal_streaks: Vec<u32>,
     units: usize,
     cores_per_unit: usize,
@@ -344,8 +338,8 @@ impl Engine {
 ///
 /// Produced by the protocol mechanism and handed to
 /// [`SyncContext::send_remote`];
-/// the system carries it (unopened) to the shard owning the destination unit
-/// and hands it back through
+/// the system carries it (unopened) to the destination unit and hands it back
+/// through
 /// [`SyncMechanism::deliver_remote`]
 /// at the arrival time. The contents stay private to the protocol crate.
 #[derive(Clone, Copy, Debug)]
@@ -672,9 +666,8 @@ impl ProtocolMechanism {
     /// Charges the message cost from `from` to engine `to` and schedules delivery.
     ///
     /// Cross-unit messages leave through [`SyncContext::send_remote`] and finish
-    /// their journey in [`SyncMechanism::deliver_remote`] on the destination
-    /// unit's shard; the message statistics are counted here, at the send side,
-    /// so a shard's counters describe the traffic *its* engines originate.
+    /// their journey in [`SyncMechanism::deliver_remote`] at the destination
+    /// unit; the message statistics are counted here, at the send side.
     fn send_engine_msg(
         &mut self,
         ctx: &mut dyn SyncContext,
@@ -707,7 +700,7 @@ impl ProtocolMechanism {
     ///
     /// When the response crosses units it travels as a [`RemotePayload`]; the
     /// final crossbar hop — and the completion itself — happen in
-    /// [`SyncMechanism::deliver_remote`] on the core's shard at the arrival
+    /// [`SyncMechanism::deliver_remote`] at the core's unit at the arrival
     /// time (`local_messages`/`completions` are therefore counted where the
     /// core lives, `global_messages` where the response was sent).
     fn complete_core(
@@ -1751,7 +1744,7 @@ impl SyncMechanism for ProtocolMechanism {
     }
 
     fn deliver_remote(&mut self, ctx: &mut dyn SyncContext, payload: RemotePayload) {
-        // Running at the arrival time on the destination unit's shard: the
+        // Running at the arrival time at the destination unit: the
         // send-side legs (source crossbar, inter-unit link) and the message
         // statistics were charged by `send_remote`'s caller; only the
         // receive-side crossbar hop remains.
@@ -1769,14 +1762,6 @@ impl SyncMechanism for ProtocolMechanism {
                 ctx.complete(core, t);
             }
         }
-    }
-
-    fn st_unit_occupancy(&self, end: Time, unit: usize) -> Option<(f64, f64)> {
-        if self.config.backend != EngineBackend::SyncronSe {
-            return None;
-        }
-        let e = self.engines.get(unit)?;
-        Some((e.st.avg_occupancy(end), e.st.max_occupancy()))
     }
 
     fn stats(&self, end: Time) -> SyncMechanismStats {
@@ -2011,8 +1996,7 @@ mod tests {
         now: Time,
         queue: EventQueue<u64>,
         /// Remote payloads in flight, delivered interleaved with the token
-        /// queue in arrival-time order (the machine's sharded mailboxes,
-        /// collapsed to one queue).
+        /// queue in arrival-time order.
         inbox: EventQueue<RemotePayload>,
         completed: Vec<(GlobalCoreId, Time)>,
         local_hops: u64,

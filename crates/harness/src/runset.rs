@@ -365,7 +365,6 @@ pub fn report_to_value(r: &RunReport) -> Value {
                     Value::Int(r.perf.events_delivered as i64),
                 ),
                 ("events_per_sec", Value::Float(r.perf.events_per_sec())),
-                ("shards", Value::Int(r.perf.shards as i64)),
             ]),
         ),
     ]);

@@ -107,11 +107,6 @@ pub struct ConfigSpec {
     pub scheduler: SchedulerKind,
     /// Inline-dispatch fairness budget of the run loop (`0` disables inlining).
     pub inline_step_budget: u32,
-    /// Worker threads of the sharded (conservative-PDES) execution mode
-    /// (`1` = sequential). Reports are bit-identical under any value; the
-    /// machine falls back to sequential execution for configurations and
-    /// workloads that cannot honor the lookahead contract.
-    pub sim_threads: usize,
     /// Deterministic fault injection on inter-unit synchronization messages
     /// (`fault_injection`, `fault_drop`, `fault_dup`, `fault_jitter_ns`,
     /// `fault_stall_ns`, `fault_stall_period_ns`, `fault_drop_nth`,
@@ -152,7 +147,6 @@ impl Default for ConfigSpec {
             max_events: paper.max_events,
             scheduler: paper.scheduler,
             inline_step_budget: paper.inline_step_budget,
-            sim_threads: paper.sim_threads,
             fault: paper.fault,
             watchdog: paper.watchdog,
             watchdog_events: paper.watchdog_events,
@@ -215,13 +209,6 @@ impl ConfigSpec {
         self
     }
 
-    /// Sets the sharded-execution worker-thread count (builder style; `1` =
-    /// sequential, results bit-identical under any value).
-    pub fn with_sim_threads(mut self, threads: usize) -> Self {
-        self.sim_threads = threads;
-        self
-    }
-
     /// Sets the fault-injection plan (builder style; disabled by default).
     pub fn with_fault(mut self, fault: FaultConfig) -> Self {
         self.fault = fault;
@@ -265,7 +252,6 @@ impl ConfigSpec {
             .inline_step_budget(self.inline_step_budget)
             .burst_resume(self.burst_resume)
             .md1_model(self.md1_model)
-            .sim_threads(self.sim_threads)
             .fault(self.fault)
             .watchdog(self.watchdog)
             .watchdog_events(self.watchdog_events)
@@ -299,7 +285,6 @@ impl ConfigSpec {
                 "inline_step_budget",
                 Value::Int(self.inline_step_budget as i64),
             ),
-            ("sim_threads", Value::Int(self.sim_threads as i64)),
         ];
         if let Some(t) = self.fairness_threshold {
             pairs.push(("fairness_threshold", Value::Int(t as i64)));
@@ -446,7 +431,6 @@ impl ConfigSpec {
                         .try_into()
                         .map_err(|_| HarnessError::spec("inline_step_budget must fit in a u32"))?
                 }
-                "sim_threads" => spec.sim_threads = usize_field(v, key)?,
                 "fault_injection" => {
                     spec.fault.enabled = v
                         .as_bool()

@@ -15,7 +15,6 @@ use syncron_sim::time::{Freq, Time};
 
 /// Configuration of an intra-unit crossbar.
 #[derive(Clone, Copy, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CrossbarConfig {
     /// Core/network clock used for the arbiter and hop cycles.
     pub clock: Freq,
@@ -68,7 +67,6 @@ struct ServiceClass {
 
 /// Traffic and energy counters of a [`Crossbar`].
 #[derive(Clone, Copy, Debug, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CrossbarStats {
     /// Packets transferred.
     pub packets: Counter,

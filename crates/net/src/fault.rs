@@ -6,9 +6,8 @@
 //!
 //! Every verdict is a **pure function** of `(seed, directed link, per-link
 //! sequence number)` — no global RNG is consumed — so faulted runs are
-//! reproducible and shard-count-invariant: the link `(from, to)` is only ever
-//! used by the shard that owns `from`, and that shard's send order on the link
-//! is deterministic. With all probabilities zero the engine issues no faults
+//! reproducible: the send order on each link is deterministic. With all
+//! probabilities zero the engine issues no faults
 //! and the simulation is bit-identical to a faults-off run (knob aliveness is
 //! pinned in `tests/scheduler_differential.rs`).
 
@@ -20,7 +19,6 @@ use syncron_sim::Time;
 /// traffic of the protocol engines); data requests/replies are not faulted —
 /// the recovery story under test is the sync protocol's timeout/retry path.
 #[derive(Clone, Copy, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FaultConfig {
     /// Master switch. When `false` the fault path is never entered.
     pub enabled: bool,
@@ -83,10 +81,9 @@ impl FaultConfig {
 
 /// Counters of every fault injected and recovered from during a run.
 ///
-/// Merged across shards by field-wise addition; part of report divergence
-/// checks so a faulted run's recovery story is itself deterministic.
+/// Part of report divergence checks so a faulted run's recovery story is
+/// itself deterministic.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FaultStats {
     /// Messages dropped by the link (original transmissions and retries).
     pub dropped: u64,
@@ -100,18 +97,6 @@ pub struct FaultStats {
     pub delayed: u64,
     /// Messages deferred by a per-SE stall window.
     pub stalled: u64,
-}
-
-impl FaultStats {
-    /// Field-wise sum (shard merge).
-    pub fn merge(&mut self, other: &FaultStats) {
-        self.dropped += other.dropped;
-        self.retransmitted += other.retransmitted;
-        self.duplicated += other.duplicated;
-        self.dup_discarded += other.dup_discarded;
-        self.delayed += other.delayed;
-        self.stalled += other.stalled;
-    }
 }
 
 /// The fate of one message transmission.
@@ -159,19 +144,18 @@ struct LinkSeq {
     originals: u64,
 }
 
-/// Stateful fault oracle for one shard.
+/// Stateful fault oracle for one machine.
 ///
-/// Holds the per-link sequence counters (sender side — owned by the shard that
-/// owns the link's source unit) and the running [`FaultStats`]. Receiver-side
-/// duplicate pairing is a separate [`DedupSet`] because it belongs to the
-/// *destination* shard.
+/// Holds the per-link sequence counters (sender side) and the running
+/// [`FaultStats`]. Receiver-side duplicate pairing is a separate [`DedupSet`]
+/// because it belongs to the destination.
 #[derive(Clone, Debug)]
 pub struct FaultEngine {
     config: FaultConfig,
     seed: u64,
     units: usize,
     links: Vec<LinkSeq>,
-    /// Counters of faults injected/recovered by this shard.
+    /// Counters of faults injected and recovered from.
     pub stats: FaultStats,
 }
 
@@ -235,7 +219,7 @@ impl FaultEngine {
 
     /// Extra delay a message arriving at SE `unit` at time `at` suffers from
     /// that unit's periodic stall window. Pure function of `(seed, unit, at)`,
-    /// so sender-side evaluation is shard-invariant.
+    /// so the sender can evaluate it.
     pub fn stall_defer(&self, unit: usize, at: Time) -> Time {
         let (len, period) = (self.config.stall_ns, self.config.stall_period_ns);
         if len == 0 || period == 0 {

@@ -16,7 +16,6 @@ use syncron_sim::UnitId;
 
 /// Configuration of the inter-unit links.
 #[derive(Clone, Copy, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LinkConfig {
     /// Bandwidth per direction in bytes per second (Table 5: 12.8 GB/s).
     pub bandwidth_bytes_per_s: f64,
@@ -65,7 +64,6 @@ impl LinkConfig {
 
 /// Traffic and energy counters of the inter-unit link fabric.
 #[derive(Clone, Copy, Debug, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LinkStats {
     /// Messages transferred across units.
     pub messages: Counter,
@@ -165,10 +163,7 @@ impl InterUnitLink {
     /// Total link energy in picojoules.
     ///
     /// Computed from the integer byte counter rather than accumulated per
-    /// transfer: a single multiply gives a value independent of transfer order,
-    /// so per-shard link instances of a partitioned run merge exactly (sum the
-    /// byte counters, multiply once) into the same energy the sequential run
-    /// reports.
+    /// transfer: a single multiply gives a value independent of transfer order.
     pub fn energy_pj(&self) -> f64 {
         self.config.energy_pj_of_bytes(self.stats.bytes.get())
     }

@@ -24,9 +24,32 @@ use crate::time::Time;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+/// Number of low bits of an event key reserved for the per-unit counter.
+pub const KEY_COUNTER_BITS: u32 = 48;
+
+/// Builds the stable equal-timestamp tiebreak key for an event originated by
+/// `unit` as its `counter`-th push (see [`EventQueue::push_keyed`]).
+///
+/// Keys order first by originating unit, then by that unit's push counter, so
+/// the interleaving of events from different units at one timestamp is fixed by
+/// the simulation itself. The 48-bit counter space (~2.8 · 10^14 pushes per
+/// unit) is far beyond any event budget.
+///
+/// # Panics
+///
+/// Panics if the counter overflows its 48-bit field (a runaway simulation; the
+/// event budget aborts runs orders of magnitude earlier).
+#[inline]
+pub fn event_key(unit: usize, counter: u64) -> u64 {
+    assert!(
+        counter < (1u64 << KEY_COUNTER_BITS),
+        "event key counter overflow for unit {unit}"
+    );
+    ((unit as u64) << KEY_COUNTER_BITS) | counter
+}
+
 /// Which event-queue backend a simulation uses.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum SchedulerKind {
     /// Hierarchical calendar queue (time wheel) — O(1) pushes and amortized O(1)
     /// pops for the near-future events that dominate a machine simulation.
@@ -514,9 +537,9 @@ impl<E> EventQueue<E> {
     /// queue's internal push sequence.
     ///
     /// Events pop in ascending `(time, key)` order, so a caller that derives keys
-    /// from its own stable numbering (e.g. per-shard counters in a partitioned
-    /// simulation) gets an equal-timestamp order that is independent of *which
-    /// queue* an event was pushed into. Keys must be unique per timestamp; a
+    /// from its own stable numbering (e.g. [`event_key`]'s per-unit counters)
+    /// gets an equal-timestamp order fixed by the simulation itself rather than
+    /// by the interleaving of pushes. Keys must be unique per timestamp; a
     /// queue should be driven either entirely through [`EventQueue::push`] or
     /// entirely through `push_keyed` — mixing the two may collide keys.
     pub fn push_keyed(&mut self, at: Time, key: u64, event: E) {
@@ -597,6 +620,19 @@ impl<E> Default for EventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn event_keys_order_by_unit_then_counter() {
+        assert!(event_key(0, 5) < event_key(1, 0));
+        assert!(event_key(3, 7) < event_key(3, 8));
+        assert_eq!(event_key(0, 0), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "counter overflow")]
+    fn event_key_counter_overflow_panics() {
+        event_key(1, 1u64 << KEY_COUNTER_BITS);
+    }
 
     fn both_backends() -> [EventQueue<i32>; 2] {
         [

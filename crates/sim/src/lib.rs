@@ -17,16 +17,14 @@
 //! * [`event`] — a stable (FIFO-within-timestamp) event queue with two
 //!   interchangeable, order-identical backends: a hierarchical calendar queue
 //!   (time wheel, the default) and the reference binary heap it is differentially
-//!   tested against.
+//!   tested against, plus the `(unit, counter)` event keys that fix the pop
+//!   order among events at one timestamp.
 //! * [`rng`] — a small, fully deterministic `SplitMix64`/`xoshiro256**` random number
 //!   generator so simulations are reproducible regardless of platform.
 //! * [`stats`] — counters, running statistics, histograms and time-weighted averages
 //!   used for the evaluation reports (energy, traffic, occupancy).
 //! * [`queueing`] — the M/D/1 queueing-delay model used by the paper for the
 //!   intra-unit crossbar (Table 5 of the paper).
-//! * [`shard`] — conservative-PDES building blocks (shard map, stable event
-//!   keys, cross-shard mailboxes, the two-phase window barrier) used by the
-//!   system crate's sharded execution mode.
 //!
 //! # Example
 //!
@@ -53,7 +51,6 @@ pub mod hash;
 pub mod ids;
 pub mod queueing;
 pub mod rng;
-pub mod shard;
 pub mod stats;
 pub mod time;
 

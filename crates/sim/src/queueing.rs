@@ -67,7 +67,6 @@ pub fn md1_wait_with_mu(lambda_per_ps: f64, mu: f64, max_utilization: f64) -> Ti
 /// other at the paper's packet sizes, but **not** bit for bit: switching the
 /// model is a conscious re-baseline of every simulated latency.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Md1Model {
     /// Per-packet closed-form evaluation (bit-exact against [`md1_wait`]).
     Exact,
@@ -251,7 +250,6 @@ impl<V: Copy> Default for Memo2<V> {
 /// The tracker uses an exponentially-decayed packet count over a configurable window,
 /// which reacts to bursts (high contention phases) but forgets idle periods.
 #[derive(Clone, Debug)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RateTracker {
     window: Time,
     last: Time,
@@ -350,7 +348,6 @@ impl RateTracker {
 /// occupying the resource for `busy` actually starts service, after waiting for all
 /// previously accepted requests.
 #[derive(Clone, Copy, Debug, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Serializer {
     busy_until: Time,
 }

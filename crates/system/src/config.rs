@@ -93,7 +93,6 @@ impl std::error::Error for ConfigError {}
 
 /// How shared read-write data is kept coherent.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum CoherenceMode {
     /// The NDP baseline (Section 2.1): software-assisted coherence; shared read-write
     /// data is uncacheable.
@@ -157,14 +156,6 @@ pub struct NdpConfig {
     /// bit-identical either way; `false` restores the O(waiters) event path
     /// for differential testing and benchmarking.
     pub burst_resume: bool,
-    /// Number of worker threads the sharded (conservative-PDES) execution mode
-    /// may use. `1` (the default) runs the classic sequential loop. Values
-    /// above 1 partition the units into up to `sim_threads` shards that advance
-    /// in lookahead-bounded windows; reports are bit-identical to `1` whenever
-    /// the configuration is shardable (the machine documents its fallbacks and
-    /// falls back to sequential execution otherwise). The effective shard count
-    /// is `min(sim_threads, units)`.
-    pub sim_threads: usize,
     /// Deterministic fault injection on inter-unit synchronization messages
     /// (drops, duplicates, jitter, SE stall windows). Off by default; when
     /// enabled with all probabilities zero the run is bit-identical to a
@@ -202,7 +193,6 @@ impl NdpConfig {
             scheduler: SchedulerKind::Calendar,
             inline_step_budget: 64,
             burst_resume: true,
-            sim_threads: 1,
             fault: FaultConfig::default(),
             watchdog: true,
             watchdog_events: 0,
@@ -236,11 +226,6 @@ impl NdpConfig {
         if self.max_events == 0 {
             return Err(ConfigError::Zero {
                 field: "max_events",
-            });
-        }
-        if self.sim_threads == 0 {
-            return Err(ConfigError::Zero {
-                field: "sim_threads",
             });
         }
         let bounded = [
@@ -508,13 +493,6 @@ impl NdpConfigBuilder {
         self
     }
 
-    /// Sets the sharded execution mode's worker-thread budget (see
-    /// [`NdpConfig::sim_threads`]; `1` = sequential).
-    pub fn sim_threads(mut self, threads: usize) -> Self {
-        self.config.sim_threads = threads;
-        self
-    }
-
     /// Sets the deterministic fault-injection plan (see [`NdpConfig::fault`];
     /// disabled by default).
     pub fn fault(mut self, fault: FaultConfig) -> Self {
@@ -578,20 +556,6 @@ mod tests {
             .unwrap();
         assert_eq!(cfg.scheduler, SchedulerKind::Heap);
         assert_eq!(cfg.inline_step_budget, 0);
-    }
-
-    #[test]
-    fn sim_threads_knob_builds_and_rejects_zero() {
-        assert_eq!(NdpConfig::paper_default().sim_threads, 1);
-        let cfg = NdpConfig::builder().sim_threads(4).build().unwrap();
-        assert_eq!(cfg.sim_threads, 4);
-        let err = NdpConfig::builder().sim_threads(0).build().unwrap_err();
-        assert_eq!(
-            err,
-            ConfigError::Zero {
-                field: "sim_threads"
-            }
-        );
     }
 
     #[test]

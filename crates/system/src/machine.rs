@@ -5,68 +5,46 @@
 //! and one synchronization mechanism — and steps the client cores' programs one
 //! [`Action`] at a time, charging each action's latency through the corresponding
 //! models. The machine is fully deterministic: same configuration and workload seed,
-//! same result — independent of [`crate::config::NdpConfig::sim_threads`].
+//! same result.
 //!
 //! # The run loop
 //!
-//! The machine partitions its units into shards (one for a sequential run, up
-//! to `sim_threads` for a sharded one; see the private `shard_plan`). Every
-//! shard owns
-//! the substrates of a contiguous unit range — event queue, crossbars, DRAMs,
-//! server caches, a full synchronization-mechanism instance — and the programs
-//! and L1s of the client cores in that range. Shards advance in lock-step
-//! **windows** of a conservative parallel discrete-event simulation:
+//! One event queue drives the whole machine. The loop pops the earliest
+//! `(time, key, event)`, dispatches it, and then checks two limits: the event
+//! budget ([`crate::config::NdpConfig::max_events`]) and the liveness watchdog
+//! ([`crate::config::NdpConfig::watchdog_limit`], which counts delivered events
+//! since a client core last consumed a program action). The budget is checked
+//! first; either one stops the run on the event that crossed it. A queue that
+//! drains with unfinished cores is a deadlock.
 //!
-//! * each round, the [`WindowGate`] reduces every shard's earliest pending
-//!   timestamp into the global minimum `T_min` and opens the window
-//!   `[T_min, T_min + lookahead)`, where the lookahead is the minimum latency
-//!   of the inter-unit link (every cross-shard interaction crosses that link);
-//! * shards process only events strictly inside the window. Anything they send
-//!   across shard boundaries arrives at least one lookahead later — at or past
-//!   the window end — so no shard ever receives an event for a time it has
-//!   already passed. Cross-shard sends travel through [`mailboxes`] and are
-//!   drained between the two gate phases of the next round;
-//! * equal-timestamp ordering is pinned by [`event_key`]: every event carries a
-//!   `(origin unit, per-unit counter)` tiebreak key, so pop order within one
-//!   timestamp is a property of the simulation, not of host thread timing. A
-//!   single-shard run uses the same keys, the same windows and the same code
-//!   path — the sequential mode is the `shards == 1` special case, and a
-//!   sharded run reproduces its reports bit for bit
-//!   ([`crate::report::RunReport::divergence_from`]).
+//! Equal-timestamp ordering is pinned by [`event_key`]: every event carries a
+//! `(origin unit, per-unit counter)` tiebreak key, drawn once per push and once
+//! per inlined step, so the pop order within one timestamp is a property of the
+//! simulation.
 //!
-//! Within a window the scheduling core keeps its fast paths: the calendar-queue
-//! scheduler by default ([`syncron_sim::event::SchedulerKind`]), a precomputed
-//! dense `GlobalCoreId -> client index` table on the resume path, and inline
-//! dispatch of a core's next step when it strictly precedes every queued event
-//! (bounded by [`crate::config::NdpConfig::inline_step_budget`]; the inlined
-//! step still consumes its event key, so the key stream is identical whether a
-//! step is inlined or queued).
+//! The loop keeps three fast paths: the calendar-queue scheduler by default
+//! ([`syncron_sim::event::SchedulerKind`]), a precomputed dense
+//! `GlobalCoreId -> client index` table on the resume path, and inline dispatch
+//! of a core's next step when it strictly precedes every queued event (bounded
+//! by [`crate::config::NdpConfig::inline_step_budget`]; the inlined step still
+//! consumes its event key, so the key stream is identical whether a step is
+//! inlined or queued).
 
 use crate::address::AddressSpace;
 use crate::config::{CoherenceMode, NdpConfig};
 use crate::report::{BlockedCore, IncompleteReason, RunReport, SimPerf, StallKind, StallReport};
 use crate::workload::{Action, CoreProgram, Workload};
 
-use std::any::Any;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::mpsc::{Receiver, Sender};
-
-use syncron_core::mechanism::{
-    build_mechanism, MechanismKind, RemotePayload, SyncContext, SyncMechanism, SyncMechanismStats,
-};
-use syncron_core::protocol::OverflowMode;
+use syncron_core::mechanism::{build_mechanism, RemotePayload, SyncContext, SyncMechanism};
 use syncron_mem::cache::L1Cache;
 use syncron_mem::dram::{DramModel, DramSpec};
 use syncron_mem::energy::EnergyTally;
 use syncron_mem::mesi::{CoherentAccess, MesiDirectory};
 use syncron_net::crossbar::Crossbar;
-use syncron_net::fault::{DedupSet, FaultEngine, FaultStats};
+use syncron_net::fault::{DedupSet, FaultEngine};
 use syncron_net::link::InterUnitLink;
 use syncron_net::traffic::TrafficStats;
-use syncron_sim::event::{CalendarParams, EventQueue, SchedulerKind};
-use syncron_sim::shard::{
-    event_key, mailboxes, AbortCause, Mail, RoundDecision, RoundReport, ShardMap, WindowGate,
-};
+use syncron_sim::event::{event_key, CalendarParams, EventQueue, SchedulerKind};
 use syncron_sim::time::Time;
 use syncron_sim::{Addr, BitQueue, CoreId, GlobalCoreId, UnitId};
 
@@ -83,7 +61,7 @@ enum Event {
     CoreResume(GlobalCoreId),
     /// A broadcast release completed several cores of one unit at one time;
     /// they resume in ascending core order from one queued event. `token`
-    /// indexes the shard's burst slab ([`Substrates::bursts`]). Replaces
+    /// indexes the burst slab ([`Substrates::bursts`]). Replaces
     /// O(waiters) `CoreResume` events with one, without changing the resume
     /// order by a single bit (see [`Substrates::complete`]).
     CoreResumeBurst { token: u32 },
@@ -186,14 +164,6 @@ fn resolve_client_in(index: &ClientIndex, core: GlobalCoreId, clients_total: usi
     })
 }
 
-/// One shard's share of the machine substrates, plus the clock and event queue.
-///
-/// The struct implements [`SyncContext`] directly: the synchronization mechanism
-/// operates on the shard's own crossbars, DRAMs and queue, and every latency or
-/// traffic charge lands on the shard that owns the acting unit. Per-unit vectors
-/// are indexed by `unit - unit_lo`; the accessors assert ownership so a message
-/// routed to a foreign unit is a hard error naming the unit, never silent
-/// corruption of another unit's state.
 /// A pending [`Event::CoreResumeBurst`]: the cores of `unit` resuming together
 /// at one timestamp. Slab-allocated so the `Copy` event stays one word.
 #[derive(Clone, Debug, Default)]
@@ -223,28 +193,26 @@ struct OpenBurst {
     last_core: usize,
 }
 
+/// The machine substrates, plus the clock and event queue.
+///
+/// The struct implements [`SyncContext`] directly: the synchronization mechanism
+/// operates on these crossbars, DRAMs and this queue. Per-unit vectors are
+/// indexed by unit; the accessors check the unit against the geometry, so a
+/// token, route or completion aimed outside it is a hard error naming the
+/// unit, never an anonymous index panic.
 struct Substrates {
     queue: EventQueue<Event>,
-    /// Crossbars of the owned units, indexed by `unit - unit_lo`.
+    /// Crossbars, one per unit.
     crossbars: Vec<Crossbar>,
-    /// The link model covers the full geometry; a directed channel `(from, to)`
-    /// is only ever used by the shard owning `from` (requests by the sender's
-    /// shard, replies by the home's shard), so per-shard instances never race
-    /// and their byte counters sum exactly.
     links: InterUnitLink,
-    /// DRAM devices of the owned units, indexed by `unit - unit_lo`.
+    /// DRAM devices, one per unit.
     drams: Vec<DramModel>,
-    /// Server-core caches of the owned units, indexed by `unit - unit_lo`.
+    /// Server-core caches, one per unit.
     server_l1s: Vec<L1Cache>,
     traffic: TrafficStats,
     space: AddressSpace,
-    map: ShardMap,
-    /// One mailbox sender per peer shard; installed by [`NdpMachine::run`].
-    senders: Vec<Sender<Mail<Event>>>,
-    /// Per-owned-unit event-key counters, indexed by `unit - unit_lo`.
+    /// Per-unit event-key counters.
     key_counters: Vec<u64>,
-    unit_lo: usize,
-    unit_hi: usize,
     /// Unit of the event currently being dispatched; every key pushed while it
     /// runs is drawn from this unit's counter.
     cur_unit: usize,
@@ -260,72 +228,65 @@ struct Substrates {
     burst_free: Vec<u32>,
     /// The most recently opened burst still eligible for appends.
     open_burst: Option<OpenBurst>,
-    /// Fault oracle for this shard's outbound mechanism messages; `Some` iff
-    /// fault injection is enabled. Verdicts are pure functions of
-    /// `(seed, link, sequence)`, so they are shard-count-invariant.
+    /// Fault oracle for outbound mechanism messages; `Some` iff fault
+    /// injection is enabled. Verdicts are pure functions of
+    /// `(seed, link, sequence)`.
     fault: Option<FaultEngine>,
     /// Receiver-side pairing of duplicated (tagged) message copies.
     dedup: DedupSet,
 }
 
 impl Substrates {
+    /// The index of `unit`, asserting it lies inside the geometry.
+    ///
+    /// # Panics
+    ///
+    /// Panics naming `what`, the unit and the geometry when `unit` is outside
+    /// it — always a bug in whoever produced the unit.
     #[inline]
-    fn owns(&self, unit: usize) -> bool {
-        (self.unit_lo..self.unit_hi).contains(&unit)
-    }
-
-    #[inline]
-    fn local(&self, unit: UnitId, what: &str) -> usize {
-        let u = unit.index();
+    fn unit_index(&self, unit: usize, what: &str) -> usize {
         assert!(
-            self.owns(u),
-            "{what} touched unit U{u}, which this shard (units U{}..U{}) does not own",
-            self.unit_lo,
-            self.unit_hi
+            unit < self.units,
+            "{what} targeted unit U{unit}, which is outside the machine geometry \
+             of {} units",
+            self.units
         );
-        u - self.unit_lo
+        unit
     }
 
     #[inline]
     fn xbar_at(&mut self, unit: UnitId) -> &mut Crossbar {
-        let i = self.local(unit, "a crossbar transfer");
+        let i = self.unit_index(unit.index(), "a crossbar transfer");
         &mut self.crossbars[i]
     }
 
     #[inline]
     fn dram_at(&mut self, unit: UnitId) -> &mut DramModel {
-        let i = self.local(unit, "a DRAM access");
+        let i = self.unit_index(unit.index(), "a DRAM access");
         &mut self.drams[i]
     }
 
     /// Draws the next event key from the current execution unit's counter.
     ///
     /// Called exactly once per scheduled event *and* once per inlined step, so
-    /// the per-unit key streams evolve identically whatever the shard count and
-    /// whatever the inline-dispatch decisions.
+    /// the per-unit key streams evolve identically whatever the inline-dispatch
+    /// decisions.
     #[inline]
     fn next_key(&mut self) -> u64 {
-        let slot = &mut self.key_counters[self.cur_unit - self.unit_lo];
+        let slot = &mut self.key_counters[self.cur_unit];
         let key = event_key(self.cur_unit, *slot);
         *slot += 1;
         key
     }
 
-    /// Schedules `event` at `at` on the shard owning `unit`: locally when this
-    /// shard owns it, through the mailbox fabric otherwise. The key is drawn
-    /// from the *originating* (current) unit either way, so the tiebreak order
-    /// is a property of the simulation. Routing to a unit outside the geometry
-    /// is a hard error naming the unit (see [`ShardMap::shard_of`]).
+    /// Schedules `event` at `at` for `unit`. The key is drawn from the
+    /// *originating* (current) unit, so the tiebreak order is a property of
+    /// the simulation. Routing to a unit outside the geometry is a hard error
+    /// naming the unit.
     fn route(&mut self, at: Time, unit: usize, event: Event) {
+        self.unit_index(unit, "a routed message");
         let key = self.next_key();
-        if self.owns(unit) {
-            self.queue.push_keyed(at, key, event);
-        } else {
-            let dest = self.map.shard_of(unit);
-            self.senders[dest]
-                .send((at, key, event))
-                .expect("cross-shard mailbox closed while the simulation is running");
-        }
+        self.queue.push_keyed(at, key, event);
     }
 
     /// The fault-injecting send path for cross-unit mechanism messages
@@ -417,14 +378,7 @@ impl SyncContext for Substrates {
     }
 
     fn schedule(&mut self, at: Time, unit: UnitId, token: u64) {
-        let u = unit.index();
-        assert!(
-            self.owns(u),
-            "mechanism scheduled a token for unit U{u}, which this shard \
-             (units U{}..U{}) does not own: engine tokens must stay on the engine's shard",
-            self.unit_lo,
-            self.unit_hi
-        );
+        self.unit_index(unit.index(), "a mechanism token");
         let key = self.next_key();
         self.queue
             .push_keyed(at, key, Event::SyncToken { unit, token });
@@ -436,7 +390,7 @@ impl SyncContext for Substrates {
         // the protocol's equal-timestamp batching can prove "no event was
         // scheduled in between" — and because the key encodes the origin unit,
         // the watermark can never be confused with another unit's pushes.
-        let counter = self.key_counters[self.cur_unit - self.unit_lo];
+        let counter = self.key_counters[self.cur_unit];
         Some(event_key(self.cur_unit, counter))
     }
 
@@ -461,8 +415,6 @@ impl SyncContext for Substrates {
         self.traffic.add_inter(bytes);
         let mut lat = self.xbar_at(from).transfer(at, bytes);
         lat += self.links.transfer(at + lat, from, to, bytes);
-        // The arrival is at least the link's minimum latency after `at` — the
-        // lookahead bound the window barrier relies on.
         self.route(at + lat, to.index(), Event::RemoteSync { to, payload });
     }
 
@@ -474,7 +426,7 @@ impl SyncContext for Substrates {
     }
 
     fn sync_mem_access(&mut self, unit: UnitId, addr: Addr, write: bool, cached: bool) -> Time {
-        let u = self.local(unit, "a synchronization memory access");
+        let u = self.unit_index(unit.index(), "a synchronization memory access");
         let mut lat = Time::ZERO;
         if cached {
             let outcome = self.server_l1s[u].access(addr, write);
@@ -498,15 +450,7 @@ impl SyncContext for Substrates {
     }
 
     fn complete(&mut self, core: GlobalCoreId, at: Time) {
-        let u = core.unit.index();
-        assert!(
-            self.owns(u),
-            "mechanism completed a request for core {core} of unit U{u}, which this \
-             shard (units U{}..U{}) does not own: completions must be delivered \
-             through send_remote to the core's shard",
-            self.unit_lo,
-            self.unit_hi
-        );
+        self.unit_index(core.unit.index(), "a completion");
         let at = at.max(self.now);
         if !self.burst_resume {
             let key = self.next_key();
@@ -527,7 +471,7 @@ impl SyncContext for Substrates {
         // the completion pattern.
         let (unit, core_ix) = (core.unit.index(), core.core.index());
         if let Some(open) = self.open_burst {
-            let counter = self.key_counters[self.cur_unit - self.unit_lo];
+            let counter = self.key_counters[self.cur_unit];
             if open.unit == unit
                 && open.at == at
                 && open.stamp == event_key(self.cur_unit, counter)
@@ -560,7 +504,7 @@ impl SyncContext for Substrates {
             .push_keyed(at, key, Event::CoreResumeBurst { token });
         // The watermark is the next key the executing unit would draw *after*
         // the burst event's own push.
-        let counter = self.key_counters[self.cur_unit - self.unit_lo];
+        let counter = self.key_counters[self.cur_unit];
         self.open_burst = Some(OpenBurst {
             token,
             unit,
@@ -579,59 +523,343 @@ impl SyncContext for Substrates {
     }
 }
 
-/// One worker's worth of the machine: a contiguous unit range, its substrates,
-/// the programs and L1s of its client cores, and a full mechanism instance.
-struct Shard {
+/// Why a run stopped before its event queue drained.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum AbortCause {
+    /// The event budget is exhausted.
+    Budget,
+    /// The liveness watchdog fired: more than the configured number of events
+    /// were delivered without any core making forward progress.
+    Stall,
+}
+
+/// The simulated NDP system.
+pub struct NdpMachine {
+    config: NdpConfig,
     sub: Substrates,
     mechanism: Option<Box<dyn SyncMechanism>>,
-    /// Programs of this shard's clients, indexed by `global index - client_lo`.
+    /// Global core IDs of the client cores, indexed by dense client index.
+    clients: Vec<GlobalCoreId>,
+    client_index: ClientIndex,
+    /// Programs of the clients (same indexing).
     programs: Vec<Box<dyn CoreProgram>>,
     l1s: Vec<L1Cache>,
     core_done: Vec<bool>,
-    /// For each local client, the sync-variable address its pending blocking
+    /// For each client, the sync-variable address its pending blocking
     /// request targets — `Some` while the core is parked in the mechanism,
     /// cleared the moment it resumes. Feeds the watchdog's [`StallReport`].
     blocked_on: Vec<Option<Addr>>,
-    /// Global core IDs of this shard's clients (same local indexing).
-    client_ids: Vec<GlobalCoreId>,
-    /// Global client index of this shard's first client.
-    client_lo: usize,
-    clients_total: usize,
-    client_index: ClientIndex,
-    /// MESI directory; present only in the single-shard configuration (the
-    /// directory is centralized, so [`shard_plan`] forces `shards == 1`).
+    /// MESI directory; present only in the MESI coherence mode.
     mesi: Option<MesiDirectory>,
     mesi_network_pj: f64,
-    config: NdpConfig,
     done_count: usize,
-    /// Programs finished since the last gate report.
-    done_round: u64,
-    /// Events delivered since the last gate report.
-    events_round: u64,
-    /// Forward-progress units since the last gate report: program actions
-    /// consumed by client cores. Mechanism chatter (tokens, remote messages,
-    /// retransmissions) does not count, so a retransmission storm that wakes
-    /// no core is visible to the watchdog as zero progress.
-    progress_round: u64,
     events_delivered: u64,
-    /// Set when one window exceeded the runaway backstop; forces an abort at
-    /// the next gate round.
-    runaway: bool,
+    /// `events_delivered` as of the last forward progress: the last program
+    /// action consumed by a client core. Mechanism chatter (tokens, remote
+    /// messages, retransmissions) does not count, so a retransmission storm
+    /// that wakes no core is visible to the watchdog as zero progress.
+    progress_at: u64,
     last_finish: Time,
     instructions: u64,
     loads: u64,
     stores: u64,
     sync_requests: u64,
+    workload_name: String,
+    completed: bool,
+    /// Why the last run ended incomplete; `None` after a completed run.
+    incomplete: Option<IncompleteReason>,
 }
 
-impl Shard {
+impl std::fmt::Debug for NdpMachine {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "NdpMachine(workload={}, clients={}, time={})",
+            self.workload_name,
+            self.clients.len(),
+            self.now()
+        )
+    }
+}
+
+impl NdpMachine {
+    /// Builds a machine for `config` running `workload`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config` is invalid (see [`NdpConfig::validate`]; configurations
+    /// from [`NdpConfig::builder`] are always valid) or if the workload returns a
+    /// different number of programs than there are client cores.
+    pub fn new(config: &NdpConfig, workload: &dyn Workload) -> Self {
+        if let Err(e) = config.validate() {
+            panic!("{e}");
+        }
+        let mut space = AddressSpace::new(config.units);
+        let clients = config.client_cores();
+        let programs = workload.build(&mut space, config, &clients);
+        assert_eq!(
+            programs.len(),
+            clients.len(),
+            "workload must provide one program per client core"
+        );
+        let client_index = ClientIndex::new(config.units, config.cores_per_unit, &clients);
+        let units = config.units;
+        let dram_spec = DramSpec::for_tech(config.mem_tech);
+        let mesi = match config.coherence {
+            CoherenceMode::SoftwareAssisted => None,
+            CoherenceMode::MesiDirectory => Some(MesiDirectory::new(
+                config.units,
+                config.cores_per_unit,
+                config.mesi,
+            )),
+        };
+        // Pre-size for the steady state so large geometries (thousands of
+        // cores) never reallocate mid-run: every client can have a step or
+        // resume event in flight plus a few mechanism tokens each. For the
+        // calendar queue the buckets are sized so one core cycle maps to one
+        // bucket and the reserve pre-allocates the far-future overflow heap.
+        let mut queue = match config.scheduler {
+            SchedulerKind::Calendar => {
+                EventQueue::calendar(CalendarParams::for_cycle(config.core_cycle()))
+            }
+            SchedulerKind::Heap => EventQueue::with_scheduler(SchedulerKind::Heap),
+        };
+        queue.reserve(clients.len() * 8 + 64);
+        let mut machine = NdpMachine {
+            sub: Substrates {
+                queue,
+                crossbars: (0..units).map(|_| Crossbar::new(config.crossbar)).collect(),
+                links: InterUnitLink::new(config.link, units),
+                drams: (0..units).map(|_| DramModel::new(dram_spec)).collect(),
+                server_l1s: (0..units).map(|_| L1Cache::new(config.l1)).collect(),
+                traffic: TrafficStats::new(),
+                space,
+                key_counters: vec![0; units],
+                cur_unit: 0,
+                now: Time::ZERO,
+                units,
+                cores_per_unit: config.cores_per_unit,
+                burst_resume: config.burst_resume,
+                bursts: Vec::new(),
+                burst_free: Vec::new(),
+                open_burst: None,
+                fault: config
+                    .fault
+                    .enabled
+                    .then(|| FaultEngine::new(config.fault, config.seed, units)),
+                dedup: DedupSet::new(),
+            },
+            mechanism: Some(build_mechanism(
+                &config.mechanism,
+                units,
+                config.cores_per_unit,
+            )),
+            l1s: clients.iter().map(|_| L1Cache::new(config.l1)).collect(),
+            core_done: vec![false; clients.len()],
+            blocked_on: vec![None; clients.len()],
+            programs,
+            clients,
+            client_index,
+            mesi,
+            mesi_network_pj: 0.0,
+            config: *config,
+            done_count: 0,
+            events_delivered: 0,
+            progress_at: 0,
+            last_finish: Time::ZERO,
+            instructions: 0,
+            loads: 0,
+            stores: 0,
+            sync_requests: 0,
+            workload_name: workload.name(),
+            completed: false,
+            incomplete: None,
+        };
+        // Seed the initial steps in client order so every core's first event
+        // carries its unit's first keys.
+        for (i, core) in machine.clients.iter().enumerate() {
+            machine.sub.cur_unit = core.unit.index();
+            let key = machine.sub.next_key();
+            machine
+                .sub
+                .queue
+                .push_keyed(Time::ZERO, key, Event::CoreStep(i));
+        }
+        machine
+    }
+
+    /// Resolves a resumed core to its dense client index (test hook).
+    #[cfg(test)]
+    fn resolve_client(&self, core: GlobalCoreId) -> usize {
+        resolve_client_in(&self.client_index, core, self.clients.len())
+    }
+
+    /// Runs the machine until every client core has finished (or the event safety
+    /// limit is reached) and returns the report.
+    pub fn run(&mut self) -> RunReport {
+        let wall_start = std::time::Instant::now();
+        let abort = self.run_events();
+        self.completed = abort.is_none() && self.done_count == self.clients.len();
+        self.incomplete = if self.completed {
+            None
+        } else {
+            Some(match abort {
+                Some(AbortCause::Budget) => IncompleteReason::EventBudget,
+                // Events kept circulating without any core consuming a
+                // program action: a livelock.
+                Some(AbortCause::Stall) => {
+                    IncompleteReason::Stalled(self.stall_report(StallKind::NoProgress))
+                }
+                // The queue drained with unfinished cores still parked: a
+                // deadlock.
+                None => IncompleteReason::Stalled(self.stall_report(StallKind::EmptyFrontier)),
+            })
+        };
+        self.build_report(wall_start.elapsed())
+    }
+
+    /// The run loop: pops and dispatches events until the queue drains
+    /// (`None`) or a limit stops the run. After every event it checks the
+    /// event budget, then the liveness watchdog.
+    fn run_events(&mut self) -> Option<AbortCause> {
+        let max_events = self.config.max_events;
+        let watchdog = self.config.watchdog_limit();
+        while let Some((at, event)) = self.sub.queue.pop() {
+            self.dispatch(at, event);
+            if self.events_delivered > max_events {
+                return Some(AbortCause::Budget);
+            }
+            if watchdog > 0 && self.events_delivered - self.progress_at > watchdog {
+                return Some(AbortCause::Stall);
+            }
+        }
+        None
+    }
+
+    /// Diagnoses a stalled run: collects the unfinished cores and the
+    /// sync-variable addresses their pending blocking requests name.
+    fn stall_report(&self, kind: StallKind) -> StallReport {
+        let mut blocked = Vec::new();
+        let mut blocked_total = 0usize;
+        let mut unfinished = 0usize;
+        for (idx, core) in self.clients.iter().enumerate() {
+            if self.core_done[idx] {
+                continue;
+            }
+            unfinished += 1;
+            if let Some(addr) = self.blocked_on[idx] {
+                blocked_total += 1;
+                if blocked.len() < StallReport::BLOCKED_CAP {
+                    blocked.push(BlockedCore {
+                        unit: core.unit.index(),
+                        core: core.core.index(),
+                        addr: addr.0,
+                    });
+                }
+            }
+        }
+        StallReport {
+            kind,
+            blocked,
+            blocked_total,
+            unfinished,
+        }
+    }
+
+    /// The configuration this machine runs.
+    pub fn config(&self) -> &NdpConfig {
+        &self.config
+    }
+
+    /// Current simulation time.
+    pub fn now(&self) -> Time {
+        self.sub.now
+    }
+
+    fn build_report(&mut self, wall: std::time::Duration) -> RunReport {
+        let end = if self.last_finish > Time::ZERO {
+            self.last_finish
+        } else {
+            self.now()
+        };
+        // The floating-point sums below run in a fixed order (client L1s, then
+        // server L1s, then per-unit devices in unit order).
+        let mut energy = EnergyTally::new();
+        let mut l1_hits = 0u64;
+        let mut l1_accesses = 0u64;
+        for l1 in self.l1s.iter().chain(&self.sub.server_l1s) {
+            energy.add_cache(l1.energy_pj());
+            l1_hits += l1.stats().hits.get();
+            l1_accesses += l1.stats().accesses();
+        }
+        let mut dram_accesses = 0u64;
+        for dram in &self.sub.drams {
+            energy.add_memory(dram.energy_pj());
+            dram_accesses += dram.stats().total_accesses();
+        }
+        for xbar in &self.sub.crossbars {
+            energy.add_network(xbar.energy_pj());
+        }
+        energy.add_network(
+            self.config
+                .link
+                .energy_pj_of_bytes(self.sub.links.stats().bytes.get()),
+        );
+        energy.add_network(self.mesi_network_pj);
+
+        let total_ops: u64 = self.programs.iter().map(|p| p.ops_completed()).sum();
+        // Open-loop workloads expose per-core latency histograms; merge them into
+        // one machine-wide tail-latency summary. Closed-loop programs expose none
+        // and the report keeps `latency: None`.
+        let mut latency_hist = syncron_sim::stats::LogHistogram::new();
+        for program in &self.programs {
+            if let Some(hist) = program.latency_histogram() {
+                latency_hist.merge(hist);
+            }
+        }
+        let latency = crate::report::LatencyReport::from_histogram(&latency_hist);
+
+        let mechanism = self.mechanism.as_ref();
+        let sync = mechanism.map(|m| m.stats(end)).unwrap_or_default();
+        let mechanism_name = mechanism.map(|m| m.name().to_string()).unwrap_or_default();
+
+        RunReport {
+            workload: self.workload_name.clone(),
+            mechanism: mechanism_name,
+            sim_time: end,
+            completed: self.completed,
+            total_ops,
+            instructions: self.instructions,
+            loads: self.loads,
+            stores: self.stores,
+            sync_requests: self.sync_requests,
+            energy,
+            traffic: self.sub.traffic,
+            sync,
+            dram_accesses,
+            l1_hit_ratio: if l1_accesses == 0 {
+                0.0
+            } else {
+                l1_hits as f64 / l1_accesses as f64
+            },
+            latency,
+            incomplete: self.incomplete.clone(),
+            // `Some` iff fault injection is enabled — an enabled run with zero
+            // faults reports all-zero counters, which report divergence treats
+            // as equal to `None` (the knob-aliveness contract).
+            faults: self.sub.fault.as_ref().map(|engine| engine.stats),
+            perf: SimPerf {
+                wall_seconds: wall.as_secs_f64(),
+                events_delivered: self.events_delivered,
+            },
+        }
+    }
+
     /// The unit whose state `event` operates on (and whose key counter feeds
     /// everything it schedules).
     fn unit_of(&self, event: &Event) -> usize {
         match *event {
-            Event::CoreStep(idx) | Event::DataReply { idx, .. } => {
-                self.client_ids[idx - self.client_lo].unit.index()
-            }
+            Event::CoreStep(idx) | Event::DataReply { idx, .. } => self.clients[idx].unit.index(),
             Event::CoreResume(core) => core.unit.index(),
             Event::CoreResumeBurst { token } => self.sub.bursts[token as usize].unit.index(),
             Event::SyncToken { unit, .. } => unit.index(),
@@ -642,30 +870,28 @@ impl Shard {
     }
 
     /// Delivers one popped event, then chases the core's next steps inline
-    /// while they strictly precede every queued event (and stay inside the
-    /// window). An inlined step consumes its event key exactly as a queued one
-    /// would, so the key streams — and therefore all reports — are independent
-    /// of the inline decisions.
-    fn dispatch(&mut self, at: Time, event: Event, window_end: Time) {
+    /// while they strictly precede every queued event (and the event budget is
+    /// not yet exhausted). An inlined step consumes its event key exactly as a
+    /// queued one would, so the key streams — and therefore all reports — are
+    /// independent of the inline decisions.
+    fn dispatch(&mut self, at: Time, event: Event) {
         let mut inline_budget = self.config.inline_step_budget;
         let mut current = (at, event);
         loop {
             let (at, event) = current;
             self.sub.now = self.sub.now.max(at);
             self.events_delivered += 1;
-            self.events_round += 1;
             self.sub.cur_unit = self.unit_of(&event);
             let next_step: Option<(Time, usize)> = match event {
-                Event::CoreStep(idx) => self.step_core(idx - self.client_lo).map(|t| (t, idx)),
+                Event::CoreStep(idx) => self.step_core(idx).map(|t| (t, idx)),
                 Event::CoreResume(core) => {
-                    let idx = resolve_client_in(&self.client_index, core, self.clients_total);
-                    let local = idx - self.client_lo;
+                    let idx = resolve_client_in(&self.client_index, core, self.clients.len());
                     assert!(
-                        !self.core_done[local],
+                        !self.core_done[idx],
                         "CoreResume for core {core}, which already finished: the \
                          mechanism completed the same request twice"
                     );
-                    self.step_core(local).map(|t| (t, idx))
+                    self.step_core(idx).map(|t| (t, idx))
                 }
                 Event::CoreResumeBurst { token } => {
                     // Close the open burst first: a completion scheduled while
@@ -690,16 +916,14 @@ impl Shard {
                     // the key streams cannot tell the difference.
                     while let Some(core_ix) = cores.pop_first() {
                         let core = GlobalCoreId::new(unit, CoreId(core_ix as u8));
-                        let idx = resolve_client_in(&self.client_index, core, self.clients_total);
-                        let local = idx - self.client_lo;
+                        let idx = resolve_client_in(&self.client_index, core, self.clients.len());
                         assert!(
-                            !self.core_done[local],
+                            !self.core_done[idx],
                             "CoreResume for core {core}, which already finished: the \
                              mechanism completed the same request twice"
                         );
-                        if let Some(t) = self.step_core(local) {
-                            let unit = core.unit.index();
-                            self.sub.route(t, unit, Event::CoreStep(idx));
+                        if let Some(t) = self.step_core(idx) {
+                            self.sub.route(t, core.unit.index(), Event::CoreStep(idx));
                         }
                     }
                     // Hand the (now empty) word buffer back to the slab so a
@@ -752,18 +976,17 @@ impl Shard {
                     self.serve_data_req(idx, home, addr, write, rmw);
                     None
                 }
-                Event::DataReply { idx, rmw } => self
-                    .serve_data_reply(idx - self.client_lo, rmw)
-                    .map(|t| (t, idx)),
+                Event::DataReply { idx, rmw } => self.serve_data_reply(idx, rmw).map(|t| (t, idx)),
             };
             let Some((t, idx)) = next_step else { return };
             // Inline dispatch: when the core's next step strictly precedes
-            // every queued event (and falls inside the current window) it is
-            // the unique next pop, so executing it without the queue
-            // round-trip is behaviour-preserving. The fairness budget bounds
-            // how long one pop may monopolize the loop.
+            // every queued event it is the unique next pop, so executing it
+            // without the queue round-trip is behaviour-preserving. The
+            // fairness budget bounds how long one pop may monopolize the loop;
+            // an exhausted event budget queues the step so the run loop stops
+            // on the event that crossed it.
             if inline_budget > 0
-                && t < window_end
+                && self.events_delivered <= self.config.max_events
                 && self.sub.queue.peek_time().is_none_or(|p| t < p)
             {
                 inline_budget -= 1;
@@ -772,28 +995,28 @@ impl Shard {
                 let _ = self.sub.next_key();
                 current = (t, Event::CoreStep(idx));
             } else {
-                let unit = self.client_ids[idx - self.client_lo].unit.index();
+                let unit = self.clients[idx].unit.index();
                 self.sub.route(t, unit, Event::CoreStep(idx));
                 return;
             }
         }
     }
 
-    /// Executes one step of the shard-local client `local`. Returns the absolute
-    /// time at which the same core wants its next `CoreStep`, or `None` when the
-    /// core finished, blocked on a synchronization request, is waiting for a
-    /// remote data reply, or was already done.
-    fn step_core(&mut self, local: usize) -> Option<Time> {
-        if self.core_done[local] {
+    /// Executes one step of client `idx`. Returns the absolute time at which the
+    /// same core wants its next `CoreStep`, or `None` when the core finished,
+    /// blocked on a synchronization request, is waiting for a remote data reply,
+    /// or was already done.
+    fn step_core(&mut self, idx: usize) -> Option<Time> {
+        if self.core_done[idx] {
             return None;
         }
         // The watchdog's definition of forward progress: a client core
-        // consumed one program action.
-        self.progress_round += 1;
-        self.blocked_on[local] = None;
-        let core = self.client_ids[local];
+        // consumed one program action (finishing included).
+        self.progress_at = self.events_delivered;
+        self.blocked_on[idx] = None;
+        let core = self.clients[idx];
         let now = self.sub.now;
-        let action = self.programs[local].step(core, now);
+        let action = self.programs[idx].step(core, now);
         match action {
             Action::Compute { instrs } => {
                 self.instructions += instrs;
@@ -802,16 +1025,16 @@ impl Shard {
             }
             Action::Load { addr } => {
                 self.loads += 1;
-                self.data_access(local, core, addr, CoherentAccess::Read)
+                self.data_access(idx, core, addr, CoherentAccess::Read)
             }
             Action::Store { addr } => {
                 self.stores += 1;
-                self.data_access(local, core, addr, CoherentAccess::Write)
+                self.data_access(idx, core, addr, CoherentAccess::Write)
             }
             Action::Rmw { addr } => {
                 self.loads += 1;
                 self.stores += 1;
-                self.data_access(local, core, addr, CoherentAccess::Rmw)
+                self.data_access(idx, core, addr, CoherentAccess::Rmw)
             }
             Action::Sync(req) => {
                 self.sync_requests += 1;
@@ -830,26 +1053,25 @@ impl Shard {
                     Some(now + self.config.core_cycle())
                 } else {
                     // Blocking requests resume when the mechanism completes them.
-                    self.blocked_on[local] = Some(var);
+                    self.blocked_on[idx] = Some(var);
                     None
                 }
             }
             Action::Done => {
-                self.core_done[local] = true;
+                self.core_done[idx] = true;
                 self.done_count += 1;
-                self.done_round += 1;
                 self.last_finish = self.last_finish.max(now);
                 None
             }
         }
     }
 
-    /// A data access by client `local` to `addr`. Returns the absolute completion
+    /// A data access by client `idx` to `addr`. Returns the absolute completion
     /// time, or `None` for a remote access whose request is now in flight to the
     /// home unit (the eventual [`Event::DataReply`] resumes the core).
     fn data_access(
         &mut self,
-        local: usize,
+        idx: usize,
         core: GlobalCoreId,
         addr: Addr,
         kind: CoherentAccess,
@@ -859,7 +1081,7 @@ impl Shard {
         let now = self.sub.now;
 
         // Coherent shared read-write data under the MESI mode goes through the
-        // directory protocol (Figure 2 / Table 1 baselines only; always single-shard).
+        // directory protocol (Figure 2 / Table 1 baselines only).
         if let Some(mesi) = self.mesi.as_mut().filter(|_| !class.cacheable()) {
             let out = mesi.access(now, core, addr, kind, home);
             // Account the protocol's traffic and energy analytically: control
@@ -884,15 +1106,15 @@ impl Shard {
                     .access(now, addr, kind != CoherentAccess::Read);
             }
             // The requester's L1 energy for the probe/fill.
-            self.l1s[local].access(addr, kind != CoherentAccess::Read);
+            self.l1s[idx].access(addr, kind != CoherentAccess::Read);
             return Some(now + out.latency);
         }
 
         let write = kind != CoherentAccess::Read;
         let mut lat = Time::ZERO;
         if class.cacheable() {
-            let outcome = self.l1s[local].access(addr, write);
-            lat += self.l1s[local].hit_latency();
+            let outcome = self.l1s[idx].access(addr, write);
+            lat += self.l1s[idx].hit_latency();
             if outcome.is_hit() {
                 return Some(now + lat);
             }
@@ -916,8 +1138,8 @@ impl Shard {
         } else {
             // Remote home: the request header crosses the local crossbar and the
             // inter-unit link, and the rest of the access runs as events on the
-            // home unit's shard (so the home-side crossbar and DRAM contention is
-            // charged by the shard that owns them).
+            // home unit (so the home-side crossbar and DRAM contention is
+            // charged when the request arrives there).
             lat += self.sub.xbar_at(core.unit).transfer(now + lat, HDR_BYTES);
             self.sub.traffic.add_inter(HDR_BYTES);
             lat += self
@@ -928,7 +1150,7 @@ impl Shard {
                 now + lat,
                 home.index(),
                 Event::DataReq {
-                    idx: self.client_lo + local,
+                    idx,
                     home,
                     addr,
                     write,
@@ -956,8 +1178,8 @@ impl Shard {
 
     /// Requester-unit tail of a remote data access: the returning line crosses the
     /// local crossbar (plus the RMW check cycle) and the core resumes.
-    fn serve_data_reply(&mut self, local: usize, rmw: bool) -> Option<Time> {
-        let core = self.client_ids[local];
+    fn serve_data_reply(&mut self, idx: usize, rmw: bool) -> Option<Time> {
+        let core = self.clients[idx];
         let t = self.sub.now;
         let mut lat = self.sub.xbar_at(core.unit).transfer(t, LINE_BYTES);
         if rmw {
@@ -975,645 +1197,6 @@ impl Shard {
         self.mechanism = Some(mech);
         result
     }
-
-    /// Processes every queued event strictly before `window_end`.
-    fn run_window(&mut self, window_end: Time) {
-        // One window of a healthy simulation can never outgrow the whole-run
-        // budget by much; a window that does is a livelock (events rescheduling
-        // each other without advancing time). Break out and force an abort at
-        // the gate instead of spinning forever inside the window.
-        let backstop = self.config.max_events.saturating_mul(2).max(1_000_000);
-        while let Some(t) = self.sub.queue.peek_time() {
-            if t >= window_end {
-                break;
-            }
-            let (at, event) = self.sub.queue.pop().expect("peeked event disappeared");
-            self.dispatch(at, event, window_end);
-            if self.events_round > backstop {
-                self.runaway = true;
-                break;
-            }
-        }
-    }
-
-    /// The shard's run loop: window rounds against the shared gate until the
-    /// simulation finishes or aborts. Returns `Ok(aborted)` — or, when this
-    /// shard panicked while processing a window, `Err(payload)` after keeping
-    /// the gate protocol alive long enough for every peer to stop (a worker
-    /// that just unwound would leave the others blocked on the barrier
-    /// forever).
-    fn run_rounds(
-        &mut self,
-        gate: &WindowGate,
-        rx: &Receiver<Mail<Event>>,
-    ) -> Result<Option<AbortCause>, Box<dyn Any + Send>> {
-        // Exclusive upper bound of the previous window: no incoming message may
-        // be timestamped before it (the lookahead invariant).
-        let mut floor = Time::ZERO;
-        let mut poison: Option<Box<dyn Any + Send>> = None;
-        let mut violation: Option<String> = None;
-        loop {
-            // Phase 1: all sends of the previous window are visible after this.
-            gate.arrive();
-            while let Ok((at, key, event)) = rx.try_recv() {
-                if at < floor && violation.is_none() {
-                    // Record now, panic inside the catch region below: an unwind
-                    // between the two gate phases would deadlock the peers.
-                    violation = Some(format!(
-                        "lookahead invariant violated: shard of units U{}..U{} received \
-                         a cross-shard message timestamped {at}, before its window \
-                         floor {floor}",
-                        self.sub.unit_lo, self.sub.unit_hi
-                    ));
-                }
-                self.sub.queue.push_keyed(at, key, event);
-            }
-            let mut report = RoundReport {
-                local_min: if poison.is_some() {
-                    None
-                } else {
-                    self.sub.queue.peek_time()
-                },
-                events_delta: std::mem::take(&mut self.events_round),
-                done_delta: std::mem::take(&mut self.done_round),
-                progress_delta: std::mem::take(&mut self.progress_round),
-            };
-            if poison.is_some() || self.runaway {
-                // Overflow the global budget so the gate's next decision is an
-                // abort every shard observes.
-                report.events_delta = report
-                    .events_delta
-                    .saturating_add(self.config.max_events)
-                    .saturating_add(1);
-            }
-            // Phase 2: reduce all reports into one decision.
-            match gate.resolve(report) {
-                RoundDecision::Finished => {
-                    return match poison.take() {
-                        Some(p) => Err(p),
-                        None => Ok(None),
-                    }
-                }
-                RoundDecision::Aborted { cause } => {
-                    return match poison.take() {
-                        Some(p) => Err(p),
-                        None => Ok(Some(cause)),
-                    }
-                }
-                RoundDecision::Continue { window_end } => {
-                    if poison.is_none() {
-                        let outcome = catch_unwind(AssertUnwindSafe(|| {
-                            if let Some(v) = violation.take() {
-                                panic!("{v}");
-                            }
-                            self.run_window(window_end);
-                        }));
-                        if let Err(p) = outcome {
-                            poison = Some(p);
-                        }
-                    }
-                    floor = window_end;
-                }
-            }
-        }
-    }
-}
-
-/// Decides how many shards a run uses and the window lookahead.
-///
-/// The lookahead is the minimum latency of the inter-unit link (controller
-/// in/out plus wire latency, with zero serialization/contention): every
-/// cross-shard interaction — mechanism messages and remote data requests —
-/// crosses that link, so nothing sent during a window can arrive before the
-/// window's end.
-///
-/// Falls back to one shard (returning the reason) when the configuration or
-/// workload cannot honor the lookahead contract:
-/// the centralized MESI directory, the zero-latency Ideal mechanism,
-/// the Adaptive policy (its escalation set is fed by contention observed
-/// across all units, which a sharded run would partition),
-/// non-integrated overflow modes (their fallback servers bypass `send_remote`),
-/// workloads sharing program state outside simulated synchronization
-/// ([`Workload::shard_safe`]), and zero-latency links.
-fn shard_plan(config: &NdpConfig, shard_safe: bool) -> (usize, Time, Option<&'static str>) {
-    let controller = config
-        .link
-        .clock
-        .cycles_to_ps(config.link.controller_cycles);
-    let lookahead = Time::from_ps(
-        config
-            .link
-            .transfer_latency
-            .as_ps()
-            .saturating_add(controller.as_ps().saturating_mul(2)),
-    );
-    let requested = config.sim_threads.min(config.units).max(1);
-    if requested <= 1 {
-        return (1, lookahead, None);
-    }
-    let reason = if config.coherence == CoherenceMode::MesiDirectory {
-        Some("the MESI directory is centralized state shards cannot partition")
-    } else if config.mechanism.kind == MechanismKind::Ideal {
-        Some("the Ideal mechanism completes cross-unit requests with zero latency, below any lookahead")
-    } else if config.mechanism.kind == MechanismKind::Adaptive {
-        Some(
-            "the adaptive policy escalates per-variable topology from globally observed contention",
-        )
-    } else if config.mechanism.overflow_mode != OverflowMode::Integrated {
-        Some("non-integrated overflow modes serialize through a central fallback path")
-    } else if !shard_safe {
-        Some("the workload shares program state outside simulated synchronization")
-    } else if lookahead == Time::ZERO {
-        Some("the inter-unit link has zero minimum latency, leaving no lookahead window")
-    } else {
-        None
-    };
-    match reason {
-        Some(r) => (1, lookahead, Some(r)),
-        None => (requested, lookahead, None),
-    }
-}
-
-/// The simulated NDP system.
-pub struct NdpMachine {
-    config: NdpConfig,
-    clients: Vec<GlobalCoreId>,
-    /// Pristine copy of the per-shard resolution tables (test hook).
-    #[cfg_attr(not(test), allow(dead_code))]
-    client_index: ClientIndex,
-    map: ShardMap,
-    lookahead: Time,
-    fallback: Option<&'static str>,
-    shards: Vec<Shard>,
-    workload_name: String,
-    completed: bool,
-    /// Why the last run ended incomplete; `None` after a completed run.
-    incomplete: Option<IncompleteReason>,
-}
-
-impl std::fmt::Debug for NdpMachine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "NdpMachine(workload={}, clients={}, shards={}, time={})",
-            self.workload_name,
-            self.clients.len(),
-            self.shards.len(),
-            self.now()
-        )
-    }
-}
-
-impl NdpMachine {
-    /// Builds a machine for `config` running `workload`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config` is invalid (see [`NdpConfig::validate`]; configurations
-    /// from [`NdpConfig::builder`] are always valid) or if the workload returns a
-    /// different number of programs than there are client cores.
-    pub fn new(config: &NdpConfig, workload: &dyn Workload) -> Self {
-        if let Err(e) = config.validate() {
-            panic!("{e}");
-        }
-        let mut space = AddressSpace::new(config.units);
-        let clients = config.client_cores();
-        let mut programs = workload.build(&mut space, config, &clients);
-        assert_eq!(
-            programs.len(),
-            clients.len(),
-            "workload must provide one program per client core"
-        );
-        let client_index = ClientIndex::new(config.units, config.cores_per_unit, &clients);
-        let (shard_count, lookahead, fallback) = shard_plan(config, workload.shard_safe());
-        let map = ShardMap::new(config.units, shard_count);
-
-        let dram_spec = DramSpec::for_tech(config.mem_tech);
-        let per_unit = config.clients_per_unit();
-        let mut programs = programs.drain(..);
-        let mut shards = Vec::with_capacity(map.shards());
-        for s in 0..map.shards() {
-            let range = map.range(s);
-            let owned = range.len();
-            let client_lo = range.start * per_unit;
-            let chunk: Vec<Box<dyn CoreProgram>> =
-                programs.by_ref().take(owned * per_unit).collect();
-            let client_ids = clients[client_lo..client_lo + chunk.len()].to_vec();
-            let mesi = match config.coherence {
-                CoherenceMode::SoftwareAssisted => None,
-                // shard_plan forces a single shard for the MESI mode.
-                CoherenceMode::MesiDirectory => Some(MesiDirectory::new(
-                    config.units,
-                    config.cores_per_unit,
-                    config.mesi,
-                )),
-            };
-            // Pre-size for the steady state so large geometries (thousands of
-            // cores) never reallocate mid-run: every client can have a step or
-            // resume event in flight plus a few mechanism tokens each. For the
-            // calendar queue the buckets are sized so one core cycle maps to one
-            // bucket and the reserve pre-allocates the far-future overflow heap.
-            let mut queue = match config.scheduler {
-                SchedulerKind::Calendar => {
-                    EventQueue::calendar(CalendarParams::for_cycle(config.core_cycle()))
-                }
-                SchedulerKind::Heap => EventQueue::with_scheduler(SchedulerKind::Heap),
-            };
-            queue.reserve(chunk.len() * 8 + 64);
-            shards.push(Shard {
-                sub: Substrates {
-                    queue,
-                    crossbars: (0..owned).map(|_| Crossbar::new(config.crossbar)).collect(),
-                    links: InterUnitLink::new(config.link, config.units),
-                    drams: (0..owned).map(|_| DramModel::new(dram_spec)).collect(),
-                    server_l1s: (0..owned).map(|_| L1Cache::new(config.l1)).collect(),
-                    traffic: TrafficStats::new(),
-                    space: space.clone(),
-                    map: map.clone(),
-                    senders: Vec::new(),
-                    key_counters: vec![0; owned],
-                    unit_lo: range.start,
-                    unit_hi: range.end,
-                    cur_unit: range.start,
-                    now: Time::ZERO,
-                    units: config.units,
-                    cores_per_unit: config.cores_per_unit,
-                    burst_resume: config.burst_resume,
-                    bursts: Vec::new(),
-                    burst_free: Vec::new(),
-                    open_burst: None,
-                    fault: config
-                        .fault
-                        .enabled
-                        .then(|| FaultEngine::new(config.fault, config.seed, config.units)),
-                    dedup: DedupSet::new(),
-                },
-                mechanism: Some(build_mechanism(
-                    &config.mechanism,
-                    config.units,
-                    config.cores_per_unit,
-                )),
-                l1s: client_ids.iter().map(|_| L1Cache::new(config.l1)).collect(),
-                core_done: vec![false; chunk.len()],
-                blocked_on: vec![None; chunk.len()],
-                programs: chunk,
-                client_ids,
-                client_lo,
-                clients_total: clients.len(),
-                client_index: client_index.clone(),
-                mesi,
-                mesi_network_pj: 0.0,
-                config: *config,
-                done_count: 0,
-                done_round: 0,
-                events_round: 0,
-                progress_round: 0,
-                events_delivered: 0,
-                runaway: false,
-                last_finish: Time::ZERO,
-                instructions: 0,
-                loads: 0,
-                stores: 0,
-                sync_requests: 0,
-            });
-        }
-        // Seed the initial steps in global client order so every core's first
-        // event carries its unit's first keys, identically under any sharding.
-        for (i, core) in clients.iter().enumerate() {
-            let shard = &mut shards[map.shard_of(core.unit.index())];
-            shard.sub.cur_unit = core.unit.index();
-            let key = shard.sub.next_key();
-            shard
-                .sub
-                .queue
-                .push_keyed(Time::ZERO, key, Event::CoreStep(i));
-        }
-        NdpMachine {
-            config: *config,
-            clients,
-            client_index,
-            map,
-            lookahead,
-            fallback,
-            shards,
-            workload_name: workload.name(),
-            completed: false,
-            incomplete: None,
-        }
-    }
-
-    /// Resolves a resumed core to its dense client index (test hook; the run
-    /// loop resolves through the owning shard's copy of the same table).
-    #[cfg(test)]
-    fn resolve_client(&self, core: GlobalCoreId) -> usize {
-        resolve_client_in(&self.client_index, core, self.clients.len())
-    }
-
-    /// Runs the machine until every client core has finished (or the event safety
-    /// limit is reached) and returns the report.
-    pub fn run(&mut self) -> RunReport {
-        let wall_start = std::time::Instant::now();
-        let parties = self.shards.len();
-        // A single shard needs no cross-shard safety margin, so a zero lookahead
-        // (zero-latency link) only has to be widened enough for windows to make
-        // progress; multi-shard runs keep the exact lookahead so the window
-        // sequence is identical to a single-shard run of the same configuration.
-        let stride = if parties == 1 {
-            self.lookahead.max(Time::from_ps(1))
-        } else {
-            self.lookahead
-        };
-        let gate = WindowGate::new(
-            parties,
-            stride,
-            self.config.max_events,
-            self.config.watchdog_limit(),
-        );
-        let (txs, mut rxs) = mailboxes::<Event>(parties);
-        for (shard, row) in self.shards.iter_mut().zip(txs) {
-            shard.sub.senders = row;
-        }
-        let mut abort: Option<AbortCause> = None;
-        if parties == 1 {
-            let rx = rxs.pop().expect("one mailbox per shard");
-            match self.shards[0].run_rounds(&gate, &rx) {
-                Ok(a) => abort = a,
-                Err(p) => resume_unwind(p),
-            }
-        } else {
-            let gate = &gate;
-            let outcomes: Vec<Result<Option<AbortCause>, Box<dyn Any + Send>>> =
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = self
-                        .shards
-                        .iter_mut()
-                        .zip(rxs.drain(..))
-                        .map(|(shard, rx)| scope.spawn(move || shard.run_rounds(gate, &rx)))
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| {
-                            h.join()
-                                .expect("shard worker panicked outside its catch region")
-                        })
-                        .collect()
-                });
-            for outcome in outcomes {
-                match outcome {
-                    Ok(a) => abort = abort.or(a),
-                    Err(p) => resume_unwind(p),
-                }
-            }
-        }
-        // Disconnect the mailbox fabric; a fresh one is built per run.
-        for shard in &mut self.shards {
-            shard.sub.senders = Vec::new();
-        }
-        let done: usize = self.shards.iter().map(|s| s.done_count).sum();
-        self.completed = abort.is_none() && done == self.clients.len();
-        self.incomplete = if self.completed {
-            None
-        } else {
-            Some(match abort {
-                Some(AbortCause::Budget) => IncompleteReason::EventBudget,
-                // The gate saw events circulating without any core consuming a
-                // program action: a livelock.
-                Some(AbortCause::Stall) => {
-                    IncompleteReason::Stalled(self.stall_report(StallKind::NoProgress))
-                }
-                // Every queue drained (the run "finished") with unfinished
-                // cores still parked: a deadlock.
-                None => IncompleteReason::Stalled(self.stall_report(StallKind::EmptyFrontier)),
-            })
-        };
-        self.build_report(wall_start.elapsed())
-    }
-
-    /// Diagnoses a stalled run: walks the shards in global order collecting
-    /// the unfinished cores and the sync-variable addresses their pending
-    /// blocking requests name.
-    fn stall_report(&self, kind: StallKind) -> StallReport {
-        let mut blocked = Vec::new();
-        let mut blocked_total = 0usize;
-        let mut unfinished = 0usize;
-        for shard in &self.shards {
-            for (local, core) in shard.client_ids.iter().enumerate() {
-                if shard.core_done[local] {
-                    continue;
-                }
-                unfinished += 1;
-                if let Some(addr) = shard.blocked_on[local] {
-                    blocked_total += 1;
-                    if blocked.len() < StallReport::BLOCKED_CAP {
-                        blocked.push(BlockedCore {
-                            unit: core.unit.index(),
-                            core: core.core.index(),
-                            addr: addr.0,
-                        });
-                    }
-                }
-            }
-        }
-        StallReport {
-            kind,
-            blocked,
-            blocked_total,
-            unfinished,
-        }
-    }
-
-    /// The configuration this machine runs.
-    pub fn config(&self) -> &NdpConfig {
-        &self.config
-    }
-
-    /// Current simulation time (the furthest shard's clock).
-    pub fn now(&self) -> Time {
-        self.shards
-            .iter()
-            .map(|s| s.sub.now)
-            .max()
-            .unwrap_or(Time::ZERO)
-    }
-
-    /// Number of shards this machine executes with (`1` = sequential).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Why a `sim_threads > 1` request fell back to sequential execution, if it
-    /// did. `None` when sharding is active or was never requested.
-    pub fn sequential_fallback(&self) -> Option<&'static str> {
-        self.fallback
-    }
-
-    /// The conservative-PDES lookahead derived from the inter-unit link.
-    pub fn lookahead(&self) -> Time {
-        self.lookahead
-    }
-
-    fn build_report(&mut self, wall: std::time::Duration) -> RunReport {
-        let last_finish = self
-            .shards
-            .iter()
-            .map(|s| s.last_finish)
-            .max()
-            .unwrap_or(Time::ZERO);
-        let end = if last_finish > Time::ZERO {
-            last_finish
-        } else {
-            self.now()
-        };
-        // All floating-point merges below run in a fixed global order (client
-        // L1s, then server L1s, then per-unit devices, shard by shard — which
-        // is exactly global unit order, since shards own contiguous ranges), so
-        // the sums associate identically whatever the shard count.
-        let mut energy = EnergyTally::new();
-        let mut l1_hits = 0u64;
-        let mut l1_accesses = 0u64;
-        for l1 in self
-            .shards
-            .iter()
-            .flat_map(|s| s.l1s.iter())
-            .chain(self.shards.iter().flat_map(|s| s.sub.server_l1s.iter()))
-        {
-            energy.add_cache(l1.energy_pj());
-            l1_hits += l1.stats().hits.get();
-            l1_accesses += l1.stats().accesses();
-        }
-        let mut dram_accesses = 0u64;
-        for dram in self.shards.iter().flat_map(|s| s.sub.drams.iter()) {
-            energy.add_memory(dram.energy_pj());
-            dram_accesses += dram.stats().total_accesses();
-        }
-        for xbar in self.shards.iter().flat_map(|s| s.sub.crossbars.iter()) {
-            energy.add_network(xbar.energy_pj());
-        }
-        // Link energy is a pure function of the byte count, so summing the
-        // per-shard counters first and converting once is exact.
-        let link_bytes: u64 = self
-            .shards
-            .iter()
-            .map(|s| s.sub.links.stats().bytes.get())
-            .sum();
-        energy.add_network(self.config.link.energy_pj_of_bytes(link_bytes));
-        energy.add_network(self.shards.iter().map(|s| s.mesi_network_pj).sum());
-
-        let total_ops: u64 = self
-            .shards
-            .iter()
-            .flat_map(|s| s.programs.iter())
-            .map(|p| p.ops_completed())
-            .sum();
-        // Open-loop workloads expose per-core latency histograms; merge them into
-        // one machine-wide tail-latency summary. Closed-loop programs expose none
-        // and the report keeps `latency: None`.
-        let mut latency_hist = syncron_sim::stats::LogHistogram::new();
-        for program in self.shards.iter().flat_map(|s| s.programs.iter()) {
-            if let Some(hist) = program.latency_histogram() {
-                latency_hist.merge(hist);
-            }
-        }
-        let latency = crate::report::LatencyReport::from_histogram(&latency_hist);
-
-        let mut traffic = TrafficStats::new();
-        let mut sync = SyncMechanismStats::default();
-        for shard in &self.shards {
-            traffic.merge(&shard.sub.traffic);
-            if let Some(m) = shard.mechanism.as_ref() {
-                let s = m.stats(end);
-                sync.requests += s.requests;
-                sync.completions += s.completions;
-                sync.local_messages += s.local_messages;
-                sync.global_messages += s.global_messages;
-                sync.overflow_messages += s.overflow_messages;
-                sync.mem_accesses += s.mem_accesses;
-                sync.overflowed_requests += s.overflowed_requests;
-                sync.acquire_requests += s.acquire_requests;
-                sync.delivered_signals += s.delivered_signals;
-                sync.coalesced_signals += s.coalesced_signals;
-                sync.consumed_signals += s.consumed_signals;
-                sync.signal_nacks += s.signal_nacks;
-                sync.max_pending_signals = sync.max_pending_signals.max(s.max_pending_signals);
-            }
-        }
-        // ST occupancy is recomputed from per-unit values in global unit order
-        // (each asked of the shard owning the unit), so the f64 reduction
-        // associates exactly as in a single-shard run. Mechanisms without
-        // per-unit tables (server-based schemes, ideal) answer `None` for every
-        // unit; their whole-run stats carry the (uniform) values instead.
-        let mut any_unit = false;
-        let mut occ_sum = 0.0f64;
-        let mut occ_max = 0.0f64;
-        for unit in 0..self.config.units {
-            let shard = &self.shards[self.map.shard_of(unit)];
-            if let Some((avg, max)) = shard
-                .mechanism
-                .as_ref()
-                .and_then(|m| m.st_unit_occupancy(end, unit))
-            {
-                any_unit = true;
-                occ_sum += avg;
-                occ_max = occ_max.max(max);
-            }
-        }
-        if any_unit {
-            sync.st_avg_occupancy = occ_sum / self.config.units as f64;
-            sync.st_max_occupancy = occ_max;
-        } else if let Some(m) = self.shards[0].mechanism.as_ref() {
-            let s = m.stats(end);
-            sync.st_avg_occupancy = s.st_avg_occupancy;
-            sync.st_max_occupancy = s.st_max_occupancy;
-        }
-        let mechanism_name = self.shards[0]
-            .mechanism
-            .as_ref()
-            .map(|m| m.name().to_string())
-            .unwrap_or_default();
-
-        // `Some` iff fault injection is enabled — an enabled run with zero
-        // faults reports all-zero counters, which report divergence treats as
-        // equal to `None` (the knob-aliveness contract). Shards merge in
-        // global order; the counters are u64 sums, so the total is exact.
-        let faults = self.config.fault.enabled.then(|| {
-            let mut stats = FaultStats::default();
-            for shard in &self.shards {
-                if let Some(engine) = shard.sub.fault.as_ref() {
-                    stats.merge(&engine.stats);
-                }
-            }
-            stats
-        });
-
-        RunReport {
-            workload: self.workload_name.clone(),
-            mechanism: mechanism_name,
-            sim_time: end,
-            completed: self.completed,
-            total_ops,
-            instructions: self.shards.iter().map(|s| s.instructions).sum(),
-            loads: self.shards.iter().map(|s| s.loads).sum(),
-            stores: self.shards.iter().map(|s| s.stores).sum(),
-            sync_requests: self.shards.iter().map(|s| s.sync_requests).sum(),
-            energy,
-            traffic,
-            sync,
-            dram_accesses,
-            l1_hit_ratio: if l1_accesses == 0 {
-                0.0
-            } else {
-                l1_hits as f64 / l1_accesses as f64
-            },
-            latency,
-            incomplete: self.incomplete.clone(),
-            faults,
-            perf: SimPerf {
-                wall_seconds: wall.as_secs_f64(),
-                events_delivered: self.shards.iter().map(|s| s.events_delivered).sum(),
-                shards: self.shards.len(),
-            },
-        }
-    }
 }
 
 /// Convenience wrapper: builds a machine for `config`, runs `workload` to completion
@@ -1626,8 +1209,10 @@ pub fn run_workload(config: &NdpConfig, workload: &dyn Workload) -> RunReport {
 mod tests {
     use super::*;
     use crate::address::DataClass;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
     use syncron_core::request::{BarrierScope, SyncRequest};
     use syncron_core::MechanismKind;
+    use syncron_net::fault::FaultStats;
     use syncron_sim::{CoreId, UnitId};
 
     /// Each core increments a per-core counter `iterations` times, protected by one
@@ -1699,11 +1284,6 @@ mod tests {
                 })
                 .collect()
         }
-
-        fn shard_safe(&self) -> bool {
-            // Programs share nothing outside the simulated lock.
-            true
-        }
     }
 
     /// All cores synchronize on a global barrier a few times.
@@ -1765,10 +1345,6 @@ mod tests {
                     }) as Box<dyn CoreProgram>
                 })
                 .collect()
-        }
-
-        fn shard_safe(&self) -> bool {
-            true
         }
     }
 
@@ -1890,184 +1466,45 @@ mod tests {
     }
 
     #[test]
-    fn sharded_runs_match_sequential_bit_for_bit() {
-        // The tentpole contract: a sharded run reproduces the sequential report
-        // bit for bit (everything except wall-clock perf), for every mechanism
-        // that shards, every shard count, and both workload shapes.
-        for kind in [
-            MechanismKind::Central,
-            MechanismKind::Hier,
-            MechanismKind::SynCron,
-            MechanismKind::SynCronFlat,
-        ] {
-            let base = NdpConfig::builder()
-                .units(4)
-                .cores_per_unit(4)
-                .mechanism(kind)
-                .build()
-                .unwrap();
-            let counter = CounterWorkload { iterations: 6 };
-            let barrier = BarrierWorkload { rounds: 3 };
-            let ref_counter = run_workload(&base, &counter);
-            let ref_barrier = run_workload(&base, &barrier);
-            for threads in [2usize, 3, 4, 8] {
-                let mut cfg = base;
-                cfg.sim_threads = threads;
-                let mut machine = NdpMachine::new(&cfg, &counter);
-                assert_eq!(machine.shard_count(), threads.min(4), "{kind:?}");
-                assert_eq!(machine.sequential_fallback(), None, "{kind:?}");
-                let report = machine.run();
-                if let Some(field) = ref_counter.divergence_from(&report) {
-                    panic!("{kind:?} counter with {threads} shards diverged: {field}");
-                }
-                let report = run_workload(&cfg, &barrier);
-                if let Some(field) = ref_barrier.divergence_from(&report) {
-                    panic!("{kind:?} barrier with {threads} shards diverged: {field}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_deterministic_across_runs() {
-        let mut cfg = NdpConfig::builder()
-            .units(4)
-            .cores_per_unit(4)
-            .build()
-            .unwrap();
-        cfg.sim_threads = 4;
-        let a = run_workload(&cfg, &CounterWorkload { iterations: 8 });
-        let b = run_workload(&cfg, &CounterWorkload { iterations: 8 });
-        if let Some(field) = a.divergence_from(&b) {
-            panic!("two identical sharded runs diverged: {field}");
-        }
-    }
-
-    #[test]
-    fn shard_fallbacks_are_sequential() {
-        let counter = CounterWorkload { iterations: 2 };
-
-        // The Ideal mechanism has no lookahead.
-        let cfg = NdpConfig::builder()
-            .units(4)
-            .cores_per_unit(4)
-            .mechanism(MechanismKind::Ideal)
-            .sim_threads(4)
-            .build()
-            .unwrap();
-        let m = NdpMachine::new(&cfg, &counter);
-        assert_eq!(m.shard_count(), 1);
-        assert!(m.sequential_fallback().unwrap().contains("Ideal"));
-
-        // Workloads keep the shard-unsafe default unless they opt in.
-        struct UnsafeCounter(CounterWorkload);
-        impl Workload for UnsafeCounter {
-            fn name(&self) -> String {
-                self.0.name()
-            }
-            fn build(
-                &self,
-                space: &mut AddressSpace,
-                config: &NdpConfig,
-                clients: &[GlobalCoreId],
-            ) -> Vec<Box<dyn CoreProgram>> {
-                self.0.build(space, config, clients)
-            }
-            // shard_safe stays at the false default.
-        }
-        let cfg = NdpConfig::builder()
-            .units(4)
-            .cores_per_unit(4)
-            .sim_threads(4)
-            .build()
-            .unwrap();
-        let m = NdpMachine::new(&cfg, &UnsafeCounter(CounterWorkload { iterations: 2 }));
-        assert_eq!(m.shard_count(), 1);
-        assert!(m
-            .sequential_fallback()
-            .unwrap()
-            .contains("outside simulated synchronization"));
-
-        // The MESI directory is centralized.
-        let cfg = NdpConfig::builder()
-            .units(4)
-            .cores_per_unit(4)
-            .coherence(CoherenceMode::MesiDirectory)
-            .mechanism(MechanismKind::Ideal)
-            .reserve_server_core(false)
-            .sim_threads(4)
-            .build()
-            .unwrap();
-        let m = NdpMachine::new(&cfg, &counter);
-        assert_eq!(m.shard_count(), 1);
-        assert!(m.sequential_fallback().unwrap().contains("MESI"));
-
-        // A zero-latency link leaves no lookahead.
-        let mut cfg = NdpConfig::builder()
-            .units(4)
-            .cores_per_unit(4)
-            .sim_threads(4)
-            .build()
-            .unwrap();
-        cfg.link.transfer_latency = Time::ZERO;
-        cfg.link.controller_cycles = 0;
-        let m = NdpMachine::new(&cfg, &counter);
-        assert_eq!(m.shard_count(), 1);
-        assert_eq!(m.lookahead(), Time::ZERO);
-        assert!(m.sequential_fallback().unwrap().contains("lookahead"));
-        // The zero-lookahead sequential run still completes (windows are
-        // widened to the minimum stride).
-        let report = run_workload(&cfg, &counter);
-        assert!(report.completed);
-
-        // One unit cannot shard; that is not a "fallback", just the geometry.
-        let cfg = NdpConfig::builder()
-            .units(1)
-            .cores_per_unit(4)
-            .sim_threads(8)
-            .build()
-            .unwrap();
-        let m = NdpMachine::new(&cfg, &counter);
-        assert_eq!(m.shard_count(), 1);
-        assert_eq!(m.sequential_fallback(), None);
-    }
-
-    #[test]
     fn tokens_for_foreign_units_are_hard_errors() {
-        let cfg = NdpConfig::builder()
-            .units(2)
-            .cores_per_unit(4)
-            .sim_threads(2)
-            .build()
-            .unwrap();
-        let mut machine = NdpMachine::new(&cfg, &CounterWorkload { iterations: 1 });
-        assert_eq!(machine.shard_count(), 2);
-        let shard = &mut machine.shards[0];
-        // A token for a unit owned by the peer shard names the unit and range.
-        let err = catch_unwind(AssertUnwindSafe(|| {
-            shard.sub.schedule(Time::from_ns(1), UnitId(1), 0);
-        }))
-        .unwrap_err();
-        let msg = *err.downcast::<String>().unwrap();
-        assert!(msg.contains("U1"), "panic must name the unit: {msg}");
-        assert!(
-            msg.contains("U0..U1"),
-            "panic must name the owned range: {msg}"
+        let mut machine = NdpMachine::new(
+            &small_config(MechanismKind::SynCron),
+            &CounterWorkload { iterations: 1 },
         );
-        // A unit outside the geometry is equally fatal.
+        // A token for a unit outside the 2-unit geometry names the unit and
+        // the geometry.
         let err = catch_unwind(AssertUnwindSafe(|| {
-            shard.sub.schedule(Time::from_ns(1), UnitId(7), 0);
+            machine.sub.schedule(Time::from_ns(1), UnitId(7), 0);
         }))
         .unwrap_err();
         let msg = *err.downcast::<String>().unwrap();
         assert!(msg.contains("U7"), "panic must name the unit: {msg}");
-        // And a message routed to a unit no shard owns panics in the shard map.
+        assert!(
+            msg.contains("2 units"),
+            "panic must name the geometry: {msg}"
+        );
+        // A message routed outside the geometry is equally fatal.
         let err = catch_unwind(AssertUnwindSafe(|| {
-            machine.map.shard_of(9);
+            machine.sub.route(
+                Time::from_ns(1),
+                9,
+                Event::SyncToken {
+                    unit: UnitId(9),
+                    token: 0,
+                },
+            );
         }))
         .unwrap_err();
         let msg = *err.downcast::<String>().unwrap();
         assert!(msg.contains("U9"), "panic must name the unit: {msg}");
+        // And so is a completion for a core of a unit outside it.
+        let core = GlobalCoreId::new(UnitId(5), CoreId(0));
+        let err = catch_unwind(AssertUnwindSafe(|| {
+            machine.sub.complete(core, Time::from_ns(1));
+        }))
+        .unwrap_err();
+        let msg = *err.downcast::<String>().unwrap();
+        assert!(msg.contains("U5"), "panic must name the unit: {msg}");
     }
 
     #[test]
@@ -2076,12 +1513,11 @@ mod tests {
             &small_config(MechanismKind::SynCron),
             &CounterWorkload { iterations: 1 },
         );
-        let shard = &mut machine.shards[0];
-        shard.core_done[0] = true;
-        shard.done_count = 1;
-        let core = shard.client_ids[0];
+        machine.core_done[0] = true;
+        machine.done_count = 1;
+        let core = machine.clients[0];
         let err = catch_unwind(AssertUnwindSafe(|| {
-            shard.dispatch(Time::ZERO, Event::CoreResume(core), Time::from_ns(1_000));
+            machine.dispatch(Time::ZERO, Event::CoreResume(core));
         }))
         .unwrap_err();
         let msg = *err.downcast::<String>().unwrap();
@@ -2285,33 +1721,55 @@ mod tests {
     }
 
     #[test]
+    fn event_budget_stops_on_the_event_that_crossed_it() {
+        // The budget is checked after every event, so a truncated run stops on
+        // event `max_events + 1` whatever the scheduler or inline budget.
+        for (scheduler, inline) in [
+            (SchedulerKind::Heap, 0),
+            (SchedulerKind::Calendar, 0),
+            (SchedulerKind::Calendar, 64),
+        ] {
+            let mut cfg = small_config(MechanismKind::SynCron);
+            cfg.max_events = 50;
+            cfg.scheduler = scheduler;
+            cfg.inline_step_budget = inline;
+            let report = run_workload(&cfg, &CounterWorkload { iterations: 100 });
+            assert!(!report.completed);
+            assert!(matches!(
+                report.incomplete,
+                Some(IncompleteReason::EventBudget)
+            ));
+            assert_eq!(
+                report.perf.events_delivered, 51,
+                "{scheduler:?}/inline={inline}"
+            );
+        }
+    }
+
+    #[test]
     fn zero_probability_faults_are_bit_invisible() {
         // The knob-aliveness contract at machine level: enabling fault
         // injection with every probability zero must reproduce the faults-off
-        // run bit for bit, sequentially and sharded.
-        for threads in [1usize, 4] {
-            let mut base = NdpConfig::builder()
-                .units(4)
-                .cores_per_unit(4)
-                .sim_threads(threads)
-                .build()
-                .unwrap();
-            let reference = run_workload(&base, &CounterWorkload { iterations: 6 });
-            assert!(reference.faults.is_none());
-            base.fault.enabled = true;
-            let report = run_workload(&base, &CounterWorkload { iterations: 6 });
-            assert_eq!(report.faults, Some(FaultStats::default()));
-            if let Some(field) = reference.divergence_from(&report) {
-                panic!("zero-probability faults diverged ({threads} threads): {field}");
-            }
+        // run bit for bit.
+        let mut base = NdpConfig::builder()
+            .units(4)
+            .cores_per_unit(4)
+            .build()
+            .unwrap();
+        let reference = run_workload(&base, &CounterWorkload { iterations: 6 });
+        assert!(reference.faults.is_none());
+        base.fault.enabled = true;
+        let report = run_workload(&base, &CounterWorkload { iterations: 6 });
+        assert_eq!(report.faults, Some(FaultStats::default()));
+        if let Some(field) = reference.divergence_from(&report) {
+            panic!("zero-probability faults diverged: {field}");
         }
     }
 
     #[test]
     fn single_drop_recovers_through_retransmission() {
         // Deterministically drop the first original message on every link; the
-        // timeout/retry path must still drive the run to completion, with the
-        // same simulated result under sequential and sharded execution.
+        // timeout/retry path must still drive the run to completion.
         let mut cfg = NdpConfig::builder()
             .units(4)
             .cores_per_unit(4)
@@ -2324,11 +1782,6 @@ mod tests {
         let faults = reference.faults.expect("fault stats present");
         assert!(faults.dropped > 0, "no message was dropped");
         assert_eq!(faults.retransmitted, faults.dropped);
-        cfg.sim_threads = 4;
-        let sharded = run_workload(&cfg, &CounterWorkload { iterations: 4 });
-        if let Some(field) = reference.divergence_from(&sharded) {
-            panic!("faulted run diverged under sharding: {field}");
-        }
     }
 
     #[test]

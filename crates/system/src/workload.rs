@@ -7,13 +7,9 @@
 //! request), and asks again when the action completes. Workload state that is logically
 //! shared between cores (a concurrent data structure, a graph, an output array) lives
 //! in ordinary Rust values shared between the per-core programs via `Arc<Mutex<…>>`;
-//! the simulator serializes all steps of one run (the sharded mode moves whole cores —
-//! never individual steps — across worker threads, hence the `Send` bound), and mutual
+//! the simulator steps every program of one run from a single event loop, and mutual
 //! exclusion of the *simulated* accesses is enforced by the simulated synchronization
-//! itself. Workloads whose programs share state *outside* simulated critical sections
-//! must keep [`Workload::shard_safe`] at its `false` default: the sharded mode would
-//! step such programs in a different real-time order than the sequential mode, and the
-//! run falls back to sequential execution instead.
+//! itself.
 
 use crate::address::AddressSpace;
 use crate::config::NdpConfig;
@@ -54,10 +50,7 @@ pub enum Action {
 }
 
 /// The program executed by one NDP core.
-///
-/// `Send` because the sharded execution mode hands each core's program to the
-/// worker thread owning that core's unit for the duration of the run.
-pub trait CoreProgram: Send {
+pub trait CoreProgram {
     /// Returns the core's next action. Called again when the previous action completes
     /// (for blocking synchronization, when the response message arrives).
     fn step(&mut self, core: GlobalCoreId, now: Time) -> Action;
@@ -97,23 +90,6 @@ pub trait Workload {
         config: &NdpConfig,
         clients: &[GlobalCoreId],
     ) -> Vec<Box<dyn CoreProgram>>;
-
-    /// Whether the programs this workload builds may be stepped by the sharded
-    /// (conservative-PDES) execution mode.
-    ///
-    /// Sharding preserves the simulated event order bit for bit, but it steps
-    /// programs of different units in a different *real-time* order than the
-    /// sequential loop. That is invisible to programs that only communicate
-    /// through simulated synchronization (reads/writes of shared Rust state
-    /// happen strictly inside simulated critical sections, whose cross-unit
-    /// hand-offs cost at least the inter-unit link latency — one full lookahead
-    /// window). Programs that read shared state outside any simulated critical
-    /// section (e.g. a poller watching a counter other cores update) observe
-    /// the stepping order itself and MUST keep the `false` default, which makes
-    /// the machine fall back to sequential execution for this workload.
-    fn shard_safe(&self) -> bool {
-        false
-    }
 }
 
 impl std::fmt::Debug for dyn Workload {

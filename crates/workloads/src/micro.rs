@@ -114,12 +114,6 @@ impl CoreProgram for LockProgram {
 }
 
 impl Workload for LockMicrobench {
-    fn shard_safe(&self) -> bool {
-        // Programs keep all state private; cores interact only through
-        // simulated synchronization.
-        true
-    }
-
     fn name(&self) -> String {
         format!("lock-micro.i{}", self.interval)
     }
@@ -208,12 +202,6 @@ impl CoreProgram for BarrierProgram {
 }
 
 impl Workload for BarrierMicrobench {
-    fn shard_safe(&self) -> bool {
-        // Programs keep all state private; cores interact only through
-        // simulated synchronization.
-        true
-    }
-
     fn name(&self) -> String {
         format!("barrier-micro.i{}", self.interval)
     }
@@ -305,12 +293,6 @@ impl CoreProgram for SemProgram {
 }
 
 impl Workload for SemaphoreMicrobench {
-    fn shard_safe(&self) -> bool {
-        // Programs keep all state private; cores interact only through
-        // simulated synchronization.
-        true
-    }
-
     fn name(&self) -> String {
         format!("semaphore-micro.i{}", self.interval)
     }
@@ -460,10 +442,6 @@ impl CoreProgram for CondSignalerProgram {
 }
 
 impl Workload for CondVarMicrobench {
-    // shard_safe stays at the false default: signalers poll `pending_waits`
-    // outside any simulated critical section, so their retirement point depends
-    // on the real-time stepping order of the waiter programs.
-
     fn name(&self) -> String {
         format!("condvar-micro.i{}", self.interval)
     }

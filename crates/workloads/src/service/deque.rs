@@ -162,12 +162,6 @@ impl CoreProgram for StealProgram {
 }
 
 impl Workload for StealService {
-    fn shard_safe(&self) -> bool {
-        // Programs keep all state private; cores interact only through
-        // simulated synchronization.
-        true
-    }
-
     fn name(&self) -> String {
         service_name(ServiceShape::Steal, &self.params)
     }

@@ -212,12 +212,6 @@ impl CoreProgram for ReclaimerProgram {
 }
 
 impl Workload for EpochService {
-    fn shard_safe(&self) -> bool {
-        // Programs keep all state private; cores interact only through
-        // simulated synchronization.
-        true
-    }
-
     fn name(&self) -> String {
         service_name(ServiceShape::Epoch, &self.params)
     }

@@ -153,12 +153,6 @@ impl CoreProgram for FineKvProgram {
 }
 
 impl Workload for FineKvService {
-    fn shard_safe(&self) -> bool {
-        // Programs keep all state private; cores interact only through
-        // simulated synchronization.
-        true
-    }
-
     fn name(&self) -> String {
         service_name(ServiceShape::KvFine, &self.params)
     }

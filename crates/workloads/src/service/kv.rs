@@ -129,12 +129,6 @@ impl CoreProgram for KvProgram {
 }
 
 impl Workload for KvService {
-    fn shard_safe(&self) -> bool {
-        // Programs keep all state private; cores interact only through
-        // simulated synchronization.
-        true
-    }
-
     fn name(&self) -> String {
         service_name(ServiceShape::Kv, &self.params)
     }

@@ -29,8 +29,7 @@ struct Ctx {
     now: Time,
     queue: EventQueue<u64>,
     /// Remote payloads in flight, delivered interleaved with the token queue
-    /// in arrival-time order (the machine's sharded mailboxes, collapsed to
-    /// one queue).
+    /// in arrival-time order.
     inbox: EventQueue<RemotePayload>,
     completed: Vec<GlobalCoreId>,
     units: usize,

@@ -3,16 +3,12 @@
 //! Adaptive (per-variable Central-to-Hier escalation) policy.
 //!
 //! `tests/scheduler_differential.rs` pins the original corpus; this suite
-//! extends the same invariants — scheduler, message-batching and shard
+//! extends the same invariants — scheduler and message-batching
 //! invisibility — to the `mechanism_extensions.toml` sweep, which runs all
 //! seven mechanism kinds over a contended lock and the fine-grained (per-key
-//! lock) open-loop KV service. It also pins two scheme-specific contracts:
-//!
-//! * the MCS handoff chain wakes every waiter exactly once even when the
-//!   queue is longer than the 64-entry Synchronization Table (128 waiters);
-//! * the Adaptive policy always falls back to sequential execution under the
-//!   sharded executor (its escalation set is fed by globally observed
-//!   contention, which shards would partition).
+//! lock) open-loop KV service. It also pins scheme-specific contracts, e.g.
+//! that the MCS handoff chain wakes every waiter exactly once even when the
+//! queue is longer than the 64-entry Synchronization Table (128 waiters).
 
 use syncron::harness::toml;
 use syncron::prelude::*;
@@ -77,44 +73,6 @@ fn extension_corpus_is_scheduler_and_batching_invariant() {
             "{} did not complete",
             scenario.label
         );
-    }
-}
-
-#[test]
-fn extension_corpus_is_sharding_invariant() {
-    // MCS is shard-safe (queue nodes live at the lock's master engine, so the
-    // handoff chain is ordinary cross-unit messaging); Adaptive and Ideal must
-    // fall back to one shard. Either way the report must be bit-identical to
-    // the sequential reference.
-    for scenario in load_extension_corpus() {
-        let mut sequential = scenario.clone();
-        sequential.config = sequential.config.with_sim_threads(1);
-        let reference = sequential.run().expect("sequential run");
-        assert_eq!(reference.perf.shards, 1, "{}", scenario.label);
-
-        let falls_back = matches!(
-            scenario.config.mechanism,
-            MechanismKind::Ideal | MechanismKind::Adaptive
-        );
-        let mut sharded = scenario.clone();
-        sharded.config = sharded.config.with_sim_threads(4);
-        let report = sharded.run().expect("sharded run");
-        assert_eq!(
-            report.perf.shards,
-            if falls_back {
-                1
-            } else {
-                4.min(scenario.config.units)
-            },
-            "{}: unexpected shard count",
-            scenario.label
-        );
-        if let Some(field) = reference.divergence_from(&report) {
-            panic!(
-                "{}: sharded run diverged from the sequential reference in {field}",
-                scenario.label
-            );
-        }
     }
 }
 

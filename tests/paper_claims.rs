@@ -47,7 +47,7 @@ fn claim_syncron_approaches_ideal_on_low_contention_apps() {
     //
     // Calibration note: `ts.air` is the paper's *most* synchronization-intense
     // application, and at this reduced scale it issues roughly one sync request per
-    // ten instructions — far denser than the real dataset. The sharded-execution
+    // ten instructions — far denser than the real dataset. The per-leg remote-timing
     // re-baseline (see ARCHITECTURE.md, "Re-baselined event semantics") charges
     // home-side crossbar/DRAM contention at the packet's arrival time instead of the
     // requester's issue time; that deflated the artificial data-access queueing which

@@ -119,3 +119,43 @@ fn same_seed_and_scenario_are_deterministic_across_runs_and_thread_counts() {
     let b = reseeded.run().unwrap();
     assert_eq!(a.total_ops, b.total_ops, "work amount is seed-independent");
 }
+
+#[test]
+fn toml_scenario_setting_sim_threads_is_rejected() {
+    // The sharded executor and its `sim_threads` knob are gone; an old scenario
+    // file that still sets it must fail loudly rather than silently run.
+    let text = r#"
+[[scenario]]
+label = "old-sharded"
+
+[scenario.config]
+units = 2
+sim_threads = 4
+
+[scenario.workload]
+kind = "micro"
+primitive = "lock"
+interval = 100
+iterations = 2
+"#;
+    let doc = toml::parse(text).expect("valid TOML");
+    let entry = &doc
+        .get("scenario")
+        .and_then(|s| s.as_array())
+        .expect("array")[0];
+    let err = Scenario::from_value(entry).unwrap_err().to_string();
+    assert!(
+        err.contains("unknown config field 'sim_threads'"),
+        "unexpected error: {err}"
+    );
+}
+
+#[test]
+fn json_config_setting_sim_threads_is_rejected() {
+    let doc = json::parse(r#"{"units": 2, "sim_threads": 1}"#).expect("valid JSON");
+    let err = ConfigSpec::from_value(&doc).unwrap_err().to_string();
+    assert!(
+        err.contains("unknown config field 'sim_threads'"),
+        "unexpected error: {err}"
+    );
+}

@@ -167,121 +167,6 @@ fn scale_64x64_is_scheduler_invariant() {
     }
 }
 
-/// Runs one scenario under the sharded (conservative-PDES) executor at several
-/// worker counts, with message batching on and off, and asserts every report is
-/// bit-identical to the sequential reference.
-///
-/// `shard_safe` says whether the scenario's workload opts into sharding; the
-/// condvar microbenchmark does not (its signalers poll shared state outside
-/// simulated critical sections), so every `sim_threads > 1` request must fall
-/// back to sequential execution — as must the Ideal mechanism, which completes
-/// synchronization without cross-unit messages and therefore without lookahead.
-/// Fallbacks are pinned via `SimPerf::shards` (host-side, not part of the
-/// compared report), and redundant worker counts are skipped for them: a
-/// fallback at 4 workers is byte-for-byte the same computation at 2 or 8.
-fn assert_sharding_is_invisible(scenario: &Scenario, shard_safe: bool) -> RunReport {
-    let mut sequential = scenario.clone();
-    sequential.config = sequential.config.with_sim_threads(1);
-    let reference = sequential.run().expect("sequential run");
-    assert_eq!(
-        reference.perf.shards, 1,
-        "{}: sequential run must use one shard",
-        scenario.label
-    );
-
-    let shards_expected = |workers: usize| -> usize {
-        if shard_safe && scenario.config.mechanism != MechanismKind::Ideal {
-            workers.min(scenario.config.units)
-        } else {
-            1
-        }
-    };
-    let falls_back = shards_expected(usize::MAX) == 1;
-    let worker_counts: &[usize] = if falls_back { &[4] } else { &[2, 4, 8] };
-    let batching_modes: &[bool] = if falls_back { &[true] } else { &[true, false] };
-
-    for &workers in worker_counts {
-        for &batching in batching_modes {
-            let mut sharded = scenario.clone();
-            sharded.config = sharded
-                .config
-                .with_sim_threads(workers)
-                .with_message_batching(batching);
-            let report = sharded.run().expect("sharded run");
-            assert_eq!(
-                report.perf.shards,
-                shards_expected(workers),
-                "{}: unexpected shard count at {workers} workers",
-                scenario.label
-            );
-            if let Some(field) = reference.divergence_from(&report) {
-                panic!(
-                    "{}: sharded run ({workers} workers, batching {batching}) diverged \
-                     from the sequential reference in {field}",
-                    scenario.label
-                );
-            }
-        }
-    }
-    reference
-}
-
-#[test]
-fn fig10_corpus_is_sharding_invariant() {
-    // The four Figure 10 sweeps at paper scale under the sharded executor:
-    // bit-identical to sequential at every worker count, with batching on and
-    // off. The condvar sweep pins the shard-unsafe fallback instead.
-    let mut total = 0;
-    for (file, shard_safe) in [
-        ("fig10_lock.toml", true),
-        ("fig10_barrier.toml", true),
-        ("fig10_semaphore.toml", true),
-        ("fig10_condvar.toml", false),
-    ] {
-        for scenario in load_sweep(file) {
-            let report = assert_sharding_is_invisible(&scenario, shard_safe);
-            assert!(report.completed, "{} did not complete", scenario.label);
-            total += 1;
-        }
-    }
-    assert!(total >= 40, "corpus unexpectedly small: {total} scenarios");
-}
-
-#[test]
-fn service_openloop_corpus_is_sharding_invariant() {
-    // The open-loop service corpus under the sharded executor. The latency
-    // summary is part of the compared report, so this also proves the
-    // admission clock, the Zipf sampler and the per-request histograms are
-    // untouched by shard count and window placement.
-    let scenarios = load_sweep("service_kv_openloop.toml");
-    assert!(
-        scenarios.len() >= 18,
-        "corpus unexpectedly small: {} scenarios",
-        scenarios.len()
-    );
-    for scenario in scenarios {
-        let report = assert_sharding_is_invisible(&scenario, true);
-        assert!(report.completed, "{} did not complete", scenario.label);
-        assert!(
-            report.latency.is_some(),
-            "{}: open-loop run lost its latency summary",
-            scenario.label
-        );
-    }
-}
-
-#[test]
-fn scale_64x64_is_sharding_invariant() {
-    // 4096 cores across 64 units with a bounded event budget: the budget gate
-    // fires at a window boundary, so even *truncated* runs must be
-    // bit-identical to sequential at every worker count.
-    let scenarios = load_sweep("scale_64x64.toml");
-    assert_eq!(scenarios.len(), 4, "one scenario per scheme");
-    for scenario in scenarios {
-        assert_sharding_is_invisible(&scenario, true);
-    }
-}
-
 /// Runs one scenario with every combination of the burst-resume and
 /// column-batching fast paths and asserts each report is bit-identical to the
 /// both-off reference. Burst resume collapses same-timestamp wake-ups for one
@@ -374,19 +259,18 @@ fn service_openloop_corpus_is_fastpath_invariant() {
 }
 
 #[test]
-fn md1_exact_model_is_sharding_invariant_and_matches_quantized_on_corpus() {
+fn md1_exact_model_matches_quantized_on_corpus() {
     // The quantized M/D/1 table is the default; the `exact` closed form stays
-    // available as the re-baseline reference. Two things must hold: (a) the
-    // exact model is still deterministic under the sharded executor at every
-    // worker count, and (b) on the committed corpus the quantized table agrees
-    // with the closed form bit-for-bit — the ≤1 ps interpolation error rounds
-    // away at the corpus's utilization caps, which is exactly why the
-    // re-baseline did not move the pinned figures. Aliveness of the knob (the
-    // two models *do* diverge at extreme caps) is pinned separately below.
+    // available as the re-baseline reference. On the committed corpus the
+    // quantized table agrees with the closed form bit-for-bit — the ≤1 ps
+    // interpolation error rounds away at the corpus's utilization caps, which
+    // is exactly why the re-baseline did not move the pinned figures.
+    // Aliveness of the knob (the two models *do* diverge at extreme caps) is
+    // pinned separately below.
     for scenario in load_sweep("fig10_barrier.toml") {
         let mut exact = scenario.clone();
         exact.config = exact.config.with_md1_model(Md1Model::Exact);
-        let exact_report = assert_sharding_is_invisible(&exact, true);
+        let exact_report = exact.run().expect("exact run");
         assert!(exact_report.completed, "{} did not complete", exact.label);
 
         let quantized = scenario.run().expect("quantized run");
@@ -480,13 +364,11 @@ fn fig10_corpus_is_invariant_under_zero_probability_faults() {
 }
 
 #[test]
-fn faulted_runs_are_seed_deterministic_and_shard_invariant() {
+fn faulted_runs_are_seed_deterministic() {
     // The other half of the fault matrix: with drops, duplicates and jitter
-    // actually firing, runs must still (a) complete via timeout/retransmission,
-    // (b) be bit-identical across repeated invocations (the fault plan is a
-    // pure function of the scenario seed), and (c) be bit-identical between
-    // the sequential and sharded executors (per-link fault state lives with
-    // the shard that owns the sending unit).
+    // actually firing, runs must still (a) complete via timeout/retransmission
+    // and (b) be bit-identical across repeated invocations (the fault plan is
+    // a pure function of the scenario seed).
     let fault = FaultConfig {
         enabled: true,
         drop_prob: 0.05,
@@ -510,16 +392,6 @@ fn faulted_runs_are_seed_deterministic_and_shard_invariant() {
             panic!(
                 "{}: repeated faulted run diverged in {field} — the fault plan \
                  is not a pure function of the seed",
-                scenario.label
-            );
-        }
-
-        let mut sharded = faulted.clone();
-        sharded.config = sharded.config.with_sim_threads(4);
-        let sharded_report = sharded.run().expect("sharded faulted run");
-        if let Some(field) = first.divergence_from(&sharded_report) {
-            panic!(
-                "{}: sharded faulted run diverged from sequential in {field}",
                 scenario.label
             );
         }

@@ -1,11 +1,15 @@
 //! Cross-crate integration tests: workloads running on the full simulated NDP system
 //! through the public `syncron` facade.
 
+use syncron::core::request::SyncRequest;
+use syncron::harness::report_to_value;
 use syncron::prelude::*;
+use syncron::system::address::{AddressSpace, DataClass};
+use syncron::system::report::SimPerf;
 use syncron::workloads::datastructures::coarse::Stack;
 use syncron::workloads::datastructures::{self, DsConfig};
 use syncron::workloads::graph::{GraphAlgo, GraphApp, GraphInput};
-use syncron::workloads::micro::{BarrierMicrobench, LockMicrobench};
+use syncron::workloads::micro::{BarrierMicrobench, LockMicrobench, SyncPrimitive};
 use syncron::workloads::timeseries::TimeSeries;
 
 fn config(kind: MechanismKind, units: usize, cores: usize) -> NdpConfig {
@@ -125,4 +129,191 @@ fn reports_are_deterministic_across_runs() {
     assert_eq!(a.sim_time, b.sim_time);
     assert_eq!(a.traffic, b.traffic);
     assert_eq!(a.sync_requests, b.sync_requests);
+}
+
+/// SplitMix64: a tiny, high-quality seeded generator for the action scripts.
+struct SplitMix64(u64);
+
+impl SplitMix64 {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+}
+
+/// A core that replays a pre-generated action script and then goes idle.
+///
+/// The script is generated at build time from the workload seed, so the
+/// program carries no state shared with any other core.
+struct ScriptedCore {
+    actions: Vec<Action>,
+    pc: usize,
+}
+
+impl CoreProgram for ScriptedCore {
+    fn step(&mut self, _core: GlobalCoreId, _now: Time) -> Action {
+        let action = self.actions.get(self.pc).copied().unwrap_or(Action::Done);
+        self.pc += 1;
+        action
+    }
+
+    fn ops_completed(&self) -> u64 {
+        self.pc.min(self.actions.len()) as u64
+    }
+}
+
+/// Seeded random mix of computation, data accesses homed on every unit, and
+/// properly paired lock / semaphore sections on variables homed on random
+/// units.
+///
+/// Blocking requests are always emitted in safe pairs (acquire → body →
+/// release), so every script terminates under every mechanism.
+struct RandomMix {
+    seed: u64,
+    ops_per_core: usize,
+}
+
+impl Workload for RandomMix {
+    fn name(&self) -> String {
+        format!("random-mix.s{}", self.seed)
+    }
+
+    fn build(
+        &self,
+        space: &mut AddressSpace,
+        config: &NdpConfig,
+        clients: &[GlobalCoreId],
+    ) -> Vec<Box<dyn CoreProgram>> {
+        let data = space.allocate_partitioned(4096, DataClass::SharedReadWrite);
+        let locks: Vec<Addr> = (0..config.units)
+            .map(|u| space.allocate_shared_rw(64, UnitId(u as u8)))
+            .collect();
+        let sems: Vec<Addr> = (0..config.units)
+            .map(|u| space.allocate_shared_rw(64, UnitId(u as u8)))
+            .collect();
+        let pick_addr = |rng: &mut SplitMix64| {
+            let region = data[rng.below(data.len() as u64) as usize];
+            Addr(region.0 + 64 * rng.below(32))
+        };
+
+        (0..clients.len())
+            .map(|i| {
+                let mut actions = Vec::new();
+                let mut rng = SplitMix64(self.seed ^ (i as u64).wrapping_mul(0x0D1B_54A3));
+                for _ in 0..self.ops_per_core {
+                    match rng.below(6) {
+                        0 => actions.push(Action::Compute {
+                            instrs: 1 + rng.below(200),
+                        }),
+                        1 => actions.push(Action::Load {
+                            addr: pick_addr(&mut rng),
+                        }),
+                        2 => actions.push(Action::Store {
+                            addr: pick_addr(&mut rng),
+                        }),
+                        3 => actions.push(Action::Rmw {
+                            addr: pick_addr(&mut rng),
+                        }),
+                        4 => {
+                            let var = locks[rng.below(locks.len() as u64) as usize];
+                            actions.push(Action::Sync(SyncRequest::LockAcquire { var }));
+                            actions.push(Action::Store {
+                                addr: pick_addr(&mut rng),
+                            });
+                            actions.push(Action::Sync(SyncRequest::LockRelease { var }));
+                        }
+                        _ => {
+                            let var = sems[rng.below(sems.len() as u64) as usize];
+                            actions.push(Action::Sync(SyncRequest::SemWait { var, initial: 2 }));
+                            actions.push(Action::Compute {
+                                instrs: 1 + rng.below(50),
+                            });
+                            actions.push(Action::Sync(SyncRequest::SemPost { var }));
+                        }
+                    }
+                }
+                Box::new(ScriptedCore { actions, pc: 0 }) as Box<dyn CoreProgram>
+            })
+            .collect()
+    }
+}
+
+#[test]
+fn randomized_scripted_mixes_complete_with_byte_identical_exports() {
+    // Irregular traffic from seeded random scripts: remote loads, stores and
+    // RMWs homed on every unit, plus lock and semaphore sections whose
+    // variables live on random units. Every run must complete, and two runs
+    // of the same (geometry, seed, scheme) must serialize to byte-identical
+    // JSON once the host-side perf counters are zeroed.
+    let export = |cfg: &NdpConfig, workload: &RandomMix| -> String {
+        let mut report = syncron::system::run_workload(cfg, workload);
+        assert!(
+            report.completed,
+            "{:?} {}x{} seed {} did not complete: {:?}",
+            cfg.mechanism.kind, cfg.units, cfg.cores_per_unit, workload.seed, report.incomplete
+        );
+        report.perf = SimPerf::default();
+        report_to_value(&report).to_json_pretty()
+    };
+    for (units, cores_per_unit) in [(2, 2), (4, 3), (8, 2)] {
+        for seed in [1, 0xC0FFEE] {
+            let workload = RandomMix {
+                seed,
+                ops_per_core: 16,
+            };
+            for kind in [
+                MechanismKind::Central,
+                MechanismKind::Hier,
+                MechanismKind::SynCron,
+                MechanismKind::Mcs,
+            ] {
+                let cfg = config(kind, units, cores_per_unit);
+                assert_eq!(
+                    export(&cfg, &workload),
+                    export(&cfg, &workload),
+                    "{kind:?} {units}x{cores_per_unit} seed {seed}: JSON export moved between runs"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn scenario_exports_are_byte_identical() {
+    // Determinism at the export layer: the same scenario run three times in
+    // one process must serialize to byte-identical RunSet JSON. Host-side
+    // perf counters (wall clock) are zeroed before export — they are the one
+    // documented nondeterministic surface.
+    let scenario = Scenario::new(
+        "det-barrier",
+        ConfigSpec::default().with_geometry(4, 8),
+        WorkloadSpec::Micro {
+            primitive: SyncPrimitive::Barrier,
+            interval: 100,
+            iterations: 8,
+        },
+    );
+    let export = || -> String {
+        let mut report = scenario.run().expect("run");
+        assert!(report.completed);
+        report.perf = SimPerf::default();
+        let set = RunSet::from_pairs([(scenario.clone(), report)]).expect("set");
+        set.to_json_string()
+    };
+
+    let first = export();
+    for _ in 0..2 {
+        assert_eq!(
+            first,
+            export(),
+            "same scenario: JSON export moved between runs"
+        );
+    }
 }
