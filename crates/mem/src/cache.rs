@@ -31,6 +31,9 @@ impl DataClass {
 }
 
 /// Configuration of an L1 cache.
+///
+/// `ways` and `line_bytes` must be at least 1: [`CacheConfig::sets`] divides by
+/// both (`NdpConfig::validate` in `syncron-system` rejects a zero in either).
 #[derive(Clone, Copy, Debug)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
@@ -138,6 +141,10 @@ struct Way {
 /// The model tracks presence only (tags), not data contents: functional data lives in
 /// the workload structures, the cache decides hit/miss latency and energy.
 ///
+/// The ways live in one flat array indexed `set * ways + way`, allocated on the
+/// first [`L1Cache::access`]. A 4096-core machine builds 4096 caches, most of
+/// which see few or no accesses, so an untouched cache costs no heap at all.
+///
 /// # Example
 ///
 /// ```
@@ -151,18 +158,20 @@ struct Way {
 #[derive(Clone, Debug)]
 pub struct L1Cache {
     config: CacheConfig,
-    sets: Vec<Vec<Way>>,
+    sets: usize,
+    /// `sets * config.ways` ways once the cache has been accessed; empty before.
+    ways: Vec<Way>,
     stats: CacheStats,
     tick: u64,
 }
 
 impl L1Cache {
-    /// Creates an empty cache.
+    /// Creates an empty cache. No way storage is allocated until the first access.
     pub fn new(config: CacheConfig) -> Self {
-        let sets = vec![vec![Way::default(); config.ways]; config.sets()];
         L1Cache {
             config,
-            sets,
+            sets: config.sets(),
+            ways: Vec::new(),
             stats: CacheStats::default(),
             tick: 0,
         }
@@ -178,20 +187,25 @@ impl L1Cache {
         self.config.hit_latency
     }
 
-    fn set_and_tag(&self, addr: Addr) -> (usize, u64) {
+    /// The index range of `addr`'s set in `self.ways`, and `addr`'s tag.
+    fn set_and_tag(&self, addr: Addr) -> (std::ops::Range<usize>, u64) {
         let line = addr.value() / self.config.line_bytes as u64;
-        let set = (line as usize) % self.sets.len();
-        let tag = line / self.sets.len() as u64;
-        (set, tag)
+        let set = (line as usize) % self.sets;
+        let tag = line / self.sets as u64;
+        let first = set * self.config.ways;
+        (first..first + self.config.ways, tag)
     }
 
     /// Performs an access (the `write` flag only affects statistics; the model is
     /// write-allocate so reads and writes fill identically). Returns hit or miss;
     /// a miss fills the line, evicting the LRU way if necessary.
     pub fn access(&mut self, addr: Addr, _write: bool) -> CacheOutcome {
+        if self.ways.is_empty() {
+            self.ways = vec![Way::default(); self.sets * self.config.ways];
+        }
         self.tick += 1;
-        let (set_idx, tag) = self.set_and_tag(addr);
-        let set = &mut self.sets[set_idx];
+        let (range, tag) = self.set_and_tag(addr);
+        let set = &mut self.ways[range];
         if let Some(way) = set.iter_mut().find(|w| w.valid && w.tag == tag) {
             way.lru = self.tick;
             self.stats.hits.inc();
@@ -219,14 +233,19 @@ impl L1Cache {
 
     /// Probes for a line without updating LRU state or statistics.
     pub fn contains(&self, addr: Addr) -> bool {
-        let (set_idx, tag) = self.set_and_tag(addr);
-        self.sets[set_idx].iter().any(|w| w.valid && w.tag == tag)
+        let (range, tag) = self.set_and_tag(addr);
+        self.ways
+            .get(range)
+            .is_some_and(|set| set.iter().any(|w| w.valid && w.tag == tag))
     }
 
     /// Invalidates a line if present; returns whether it was present.
     pub fn invalidate(&mut self, addr: Addr) -> bool {
-        let (set_idx, tag) = self.set_and_tag(addr);
-        for way in &mut self.sets[set_idx] {
+        let (range, tag) = self.set_and_tag(addr);
+        let Some(set) = self.ways.get_mut(range) else {
+            return false;
+        };
+        for way in set {
             if way.valid && way.tag == tag {
                 way.valid = false;
                 self.stats.invalidations.inc();
@@ -239,10 +258,8 @@ impl L1Cache {
     /// Invalidates the entire cache (used when a kernel is offloaded and the core's
     /// cached thread-private data becomes stale).
     pub fn flush(&mut self) {
-        for set in &mut self.sets {
-            for way in set {
-                way.valid = false;
-            }
+        for way in &mut self.ways {
+            way.valid = false;
         }
     }
 
@@ -333,6 +350,25 @@ mod tests {
     }
 
     #[test]
+    fn storage_is_allocated_on_first_access() {
+        let cfg = CacheConfig::ndp_l1();
+        let mut l1 = L1Cache::new(cfg);
+        assert_eq!(l1.ways.len(), 0);
+        assert!(!l1.contains(Addr(0x40)));
+        assert!(!l1.invalidate(Addr(0x40)));
+        l1.flush();
+        assert_eq!(l1.ways.len(), 0);
+        assert_eq!(l1.stats().accesses(), 0);
+        assert_eq!(l1.stats().invalidations.get(), 0);
+        assert_eq!(l1.energy_pj(), 0.0);
+
+        assert_eq!(l1.access(Addr(0x40), false), CacheOutcome::Miss);
+        assert_eq!(l1.ways.len(), cfg.sets() * cfg.ways);
+        assert!(l1.contains(Addr(0x40)));
+        assert_eq!(l1.stats().misses.get(), 1);
+    }
+
+    #[test]
     fn working_set_larger_than_cache_thrashes() {
         let cfg = CacheConfig::ndp_l1();
         let mut l1 = L1Cache::new(cfg);
@@ -382,6 +418,148 @@ mod proptests {
                 .count();
             assert!(resident <= cfg.sets() * cfg.ways);
             assert_eq!(l1.stats().accesses(), addrs.len() as u64);
+        }
+    }
+
+    /// The nested one-vector-per-set layout the flat, lazily allocated
+    /// [`L1Cache`] replaced, kept as a reference model.
+    struct NestedL1 {
+        config: CacheConfig,
+        sets: Vec<Vec<Way>>,
+        stats: CacheStats,
+        tick: u64,
+    }
+
+    impl NestedL1 {
+        fn new(config: CacheConfig) -> Self {
+            NestedL1 {
+                config,
+                sets: vec![vec![Way::default(); config.ways]; config.sets()],
+                stats: CacheStats::default(),
+                tick: 0,
+            }
+        }
+
+        fn set_and_tag(&self, addr: Addr) -> (usize, u64) {
+            let line = addr.value() / self.config.line_bytes as u64;
+            let set = (line as usize) % self.sets.len();
+            (set, line / self.sets.len() as u64)
+        }
+
+        fn access(&mut self, addr: Addr) -> CacheOutcome {
+            self.tick += 1;
+            let (set_idx, tag) = self.set_and_tag(addr);
+            let set = &mut self.sets[set_idx];
+            if let Some(way) = set.iter_mut().find(|w| w.valid && w.tag == tag) {
+                way.lru = self.tick;
+                self.stats.hits.inc();
+                return CacheOutcome::Hit;
+            }
+            self.stats.misses.inc();
+            let victim = if let Some(idx) = set.iter().position(|w| !w.valid) {
+                idx
+            } else {
+                self.stats.evictions.inc();
+                set.iter()
+                    .enumerate()
+                    .min_by_key(|(_, w)| w.lru)
+                    .map(|(i, _)| i)
+                    .unwrap_or(0)
+            };
+            set[victim] = Way {
+                tag,
+                valid: true,
+                lru: self.tick,
+            };
+            CacheOutcome::Miss
+        }
+
+        fn contains(&self, addr: Addr) -> bool {
+            let (set_idx, tag) = self.set_and_tag(addr);
+            self.sets[set_idx].iter().any(|w| w.valid && w.tag == tag)
+        }
+
+        fn invalidate(&mut self, addr: Addr) -> bool {
+            let (set_idx, tag) = self.set_and_tag(addr);
+            for way in &mut self.sets[set_idx] {
+                if way.valid && way.tag == tag {
+                    way.valid = false;
+                    self.stats.invalidations.inc();
+                    return true;
+                }
+            }
+            false
+        }
+
+        fn flush(&mut self) {
+            for way in self.sets.iter_mut().flatten() {
+                way.valid = false;
+            }
+        }
+
+        fn energy_pj(&self) -> f64 {
+            self.stats.hits.get() as f64 * self.config.hit_pj
+                + self.stats.misses.get() as f64 * self.config.miss_pj
+        }
+    }
+
+    fn same_stats(a: &CacheStats, b: &CacheStats) -> bool {
+        a.hits.get() == b.hits.get()
+            && a.misses.get() == b.misses.get()
+            && a.evictions.get() == b.evictions.get()
+            && a.invalidations.get() == b.invalidations.get()
+    }
+
+    /// Seeded streams of accesses, probes, invalidations and flushes give the
+    /// same outcome, the same answers, the same stats and the same energy on the
+    /// flat, lazily allocated cache as on the nested reference layout, after
+    /// every step. Streams start with non-access operations so the unallocated
+    /// state is exercised too.
+    #[test]
+    fn flat_layout_matches_nested_reference() {
+        let one_set = CacheConfig {
+            size_bytes: 4 * 64,
+            ways: 4,
+            ..CacheConfig::ndp_l1()
+        };
+        assert_eq!(one_set.sets(), 1);
+        for (ci, cfg) in [CacheConfig::ndp_l1(), CacheConfig::cpu_l1(), one_set]
+            .into_iter()
+            .enumerate()
+        {
+            // Twice the capacity, so streams both hit and evict.
+            let span = 2 * (cfg.sets() * cfg.ways * cfg.line_bytes) as u64;
+            for case in 0..16u64 {
+                let mut rng = SimRng::seed_from(0xF1A7_0000 + (ci as u64) * 100 + case);
+                let mut flat = L1Cache::new(cfg);
+                let mut nested = NestedL1::new(cfg);
+                for step in 0..2_000 {
+                    let addr = Addr(rng.gen_range(span));
+                    let op = rng.gen_range(100);
+                    let access_allowed = step >= 8;
+                    match op {
+                        0..=69 if access_allowed => {
+                            let write = op < 35;
+                            assert_eq!(flat.access(addr, write), nested.access(addr));
+                        }
+                        0..=84 => assert_eq!(flat.contains(addr), nested.contains(addr)),
+                        85..=98 => assert_eq!(flat.invalidate(addr), nested.invalidate(addr)),
+                        _ => {
+                            flat.flush();
+                            nested.flush();
+                        }
+                    }
+                    let probe = Addr(rng.gen_range(span));
+                    assert_eq!(flat.contains(probe), nested.contains(probe));
+                    assert!(
+                        same_stats(flat.stats(), &nested.stats),
+                        "cfg {ci} case {case} step {step}: {:?} vs {:?}",
+                        flat.stats(),
+                        nested.stats
+                    );
+                    assert_eq!(flat.energy_pj().to_bits(), nested.energy_pj().to_bits());
+                }
+            }
         }
     }
 

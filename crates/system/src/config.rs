@@ -217,6 +217,8 @@ impl NdpConfig {
             ("cores_per_unit", self.cores_per_unit),
             ("st_entries", self.mechanism.st_entries),
             ("indexing_counters", self.mechanism.indexing_counters),
+            ("l1_ways", self.l1.ways),
+            ("l1_line_bytes", self.l1.line_bytes),
         ];
         for (field, value) in at_least_one {
             if value == 0 {
@@ -759,6 +761,25 @@ mod tests {
             .build()
             .unwrap_err();
         assert_eq!(err.field(), "units");
+    }
+
+    #[test]
+    fn zero_l1_ways_is_a_typed_error() {
+        let mut cfg = NdpConfig::paper_default();
+        cfg.l1.ways = 0;
+        assert_eq!(cfg.validate(), Err(ConfigError::Zero { field: "l1_ways" }));
+    }
+
+    #[test]
+    fn zero_l1_line_bytes_is_a_typed_error() {
+        let mut cfg = NdpConfig::paper_default();
+        cfg.l1.line_bytes = 0;
+        assert_eq!(
+            cfg.validate(),
+            Err(ConfigError::Zero {
+                field: "l1_line_bytes"
+            })
+        );
     }
 
     #[test]
